@@ -1,10 +1,11 @@
-//! `microbench` — statistical microbenchmarks for the three hot paths the
+//! `microbench` — statistical microbenchmarks for the hot paths the
 //! profiler attributes most time to: the parallel conversion farm, the
-//! B-stationary online kernel, and the comparator tree's frontier
-//! min-scan. Each target runs through the harness (warmup, fixed
-//! iteration count, MAD outlier rejection, bootstrap CIs) and prints one
-//! table row; CI runs the reduced `--iters`/`--warmup` variant as a
-//! smoke check.
+//! B-stationary online kernel, the comparator tree's frontier min-scan,
+//! and the simulator's per-access path. Each target runs through the
+//! harness (warmup, fixed iteration count, MAD outlier rejection,
+//! bootstrap CIs) and prints one table row; CI runs the reduced
+//! `--iters`/`--warmup` variant as a smoke check. `sim_access` also
+//! prints its host time per simulated L2 line.
 //!
 //! Besides wall time, every target is measured for **steady-state
 //! allocation pressure**: pools are reset, one warm iteration shelves its
@@ -20,12 +21,12 @@
 //! ```
 
 use nmt_bench::harness::{run, BenchConfig};
-use nmt_bench::{print_table, EXPERIMENT_SEED};
+use nmt_bench::{experiment_gpu, print_table, EXPERIMENT_SEED};
 use nmt_engine::{convert_matrix_farm, ComparatorTree, FarmConfig, MinScratch};
 use nmt_formats::SparseMatrix;
 use nmt_kernels::bstat_tiled_dcsr_online;
-use nmt_matgen::{random_dense, GenKind, MatrixDesc};
-use nmt_sim::{Gpu, GpuConfig};
+use nmt_matgen::{random_dense, GenKind, MatrixDesc, SuiteScale};
+use nmt_sim::{Gpu, GpuConfig, TrafficClass};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -212,6 +213,45 @@ fn run_benches() -> Result<(), String> {
     });
     add_row("find_min_x1024", stats, alloc);
 
+    // 4. The simulator's per-access path: the cuSPARSE-baseline B gather
+    // (column-major B, one lane per A non-zero, so scattered columns pay
+    // one L2 line per lane) replayed through the small-suite GPU. The GPU
+    // persists across iterations, so every iteration probes a warm L2
+    // with the same fixed stream of lines.
+    let mut gpu = Gpu::new(experiment_gpu(SuiteScale::Small)).map_err(|e| e.to_string())?;
+    let warp = gpu.config().warp_size;
+    let b_rows = a.shape().ncols as u64;
+    let b_buf = gpu.alloc(b_rows * k as u64 * 4, TrafficClass::MatB);
+    let mut offsets: Vec<u64> = Vec::with_capacity(warp);
+    let mut gather_stream = |gpu: &mut Gpu| -> u64 {
+        let stats = gpu
+            .launch(0, 1, |ctx| {
+                for r in 0..a.shape().nrows {
+                    for chunk in a.row(r).0.chunks(warp) {
+                        for kc in 0..k as u64 {
+                            offsets.clear();
+                            offsets.extend(chunk.iter().map(|&c| (kc * b_rows + c as u64) * 4));
+                            ctx.ld_global_gather(&b_buf, &offsets, 4, true);
+                        }
+                    }
+                }
+            })
+            .expect("a launch without shared memory cannot fail");
+        stats.l2_hits + stats.l2_misses
+    };
+    let lines = gather_stream(&mut gpu);
+    let stats = run(&cfg, || {
+        std::hint::black_box(gather_stream(&mut gpu));
+    });
+    let alloc = measure_alloc(|| {
+        std::hint::black_box(gather_stream(&mut gpu));
+    });
+    println!(
+        "sim_access: {lines} simulated L2 lines per iteration, {:.1} host ns per line",
+        stats.median_ns / lines.max(1) as f64
+    );
+    add_row("sim_access", stats, alloc);
+
     print_table(
         &[
             "target", "median_us", "ci_lo_us", "ci_hi_us", "mad_us", "kept", "rejected",
@@ -222,15 +262,19 @@ fn run_benches() -> Result<(), String> {
 
     if let Some(path) = write_budgets_path {
         // Headroom: 50% relative + small absolute slack, so pool shelving
-        // wobble and allocator-internal variance never flake the gate.
+        // wobble and allocator-internal variance never flake the gate. A
+        // target that measured no allocation keeps a zero budget: an
+        // allocation-free path has no wobble to absorb, and its first
+        // allocation is the regression the gate exists to catch.
+        let headroom = |m: u64, slack: u64| if m == 0 { 0 } else { m + m / 2 + slack };
         let with_headroom: BTreeMap<String, AllocBudget> = measured
             .iter()
             .map(|(name, m)| {
                 (
                     name.clone(),
                     AllocBudget {
-                        count: m.count + m.count / 2 + 64,
-                        bytes: m.bytes + m.bytes / 2 + 65_536,
+                        count: headroom(m.count, 64),
+                        bytes: headroom(m.bytes, 65_536),
                     },
                 )
             })

@@ -69,15 +69,20 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &[
 ];
 
 /// The allocation hot paths: the conversion farm, the strip converter,
-/// the comparator tree, and the online B-stationary kernel. These draw
-/// their working buffers from the `nmt_engine::mem` pools; the
-/// `hot-alloc` rule bans ad-hoc `Vec::new`/`vec![]` here so per-strip
+/// the comparator tree, the online B-stationary kernel, and the
+/// simulator's per-access path (L2 slice, memory subsystem, machine).
+/// The engine files draw their working buffers from the `nmt_engine::mem`
+/// pools and the simulator sizes its state once per GPU; the `hot-alloc`
+/// rule bans ad-hoc `Vec::new`/`vec![]` here so per-strip or per-access
 /// allocation churn cannot silently return.
 pub const HOT_PATH_SCOPED: &[&str] = &[
     "crates/engine/src/comparator.rs",
     "crates/engine/src/convert.rs",
     "crates/engine/src/farm.rs",
     "crates/kernels/src/bstationary.rs",
+    "crates/sim/src/cache.rs",
+    "crates/sim/src/machine.rs",
+    "crates/sim/src/memory.rs",
 ];
 
 /// Modules that coordinate across threads with atomics or feed the

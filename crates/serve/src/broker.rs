@@ -571,6 +571,26 @@ mod tests {
     }
 
     #[test]
+    fn large_synth_pool_replays_without_rejections() {
+        // 2 000 distinct matrices: pool indices well past the point where
+        // the uniform density once left (0, 1] and requests were rejected
+        // as malformed. Small operands keep the replay quick.
+        let spec = SynthSpec {
+            requests: 2000,
+            unique_matrices: 2000,
+            n: 32,
+            k: 4,
+            ..SynthSpec::quick(17)
+        };
+        let trace = synth_trace(&spec);
+        let ledger = serve_trace(&trace, &BrokerConfig::test_small(), &obs(), false).unwrap();
+        let first = ledger.rejections.first();
+        assert_eq!(ledger.counts.rejected_malformed, 0, "{first:?}");
+        assert_eq!(ledger.counts.rejected_queue_full, 0);
+        assert_eq!(ledger.counts.admitted, 2000);
+    }
+
+    #[test]
     fn tiny_queue_rejects_with_typed_reason() {
         let trace = synth_trace(&SynthSpec::quick(5));
         let mut cfg = BrokerConfig::test_small();

@@ -157,6 +157,11 @@ impl SynthSpec {
     }
 }
 
+/// Uniform-density steps before the density wraps: pool indices 0..192
+/// step 0.02, 0.03, …, 0.49, and larger indices repeat that cycle, so
+/// every uniform density stays in (0, 0.5] for any pool size.
+const UNIFORM_DENSITY_STEPS: usize = 48;
+
 /// Generate a seeded request schedule over a fixed matrix pool. The
 /// pool cycles through the generator kinds with per-matrix densities
 /// and seeds derived from the pool index, so fingerprints are distinct;
@@ -172,7 +177,10 @@ pub fn synth_trace(spec: &SynthSpec) -> Vec<Request> {
             let m = rng.random_range(0..unique);
             let gen = kinds.get(m % kinds.len()).copied().unwrap_or("uniform");
             let (density, exponent) = match gen {
-                "uniform" => (0.02 + 0.01 * (m / kinds.len()) as f64, 0.0),
+                "uniform" => (
+                    0.02 + 0.01 * ((m / kinds.len()) % UNIFORM_DENSITY_STEPS) as f64,
+                    0.0,
+                ),
                 "zipf-rows" => (0.02, 1.1 + 0.2 * (m / kinds.len()) as f64),
                 "row-bursts" => (0.03, 4.0),
                 _ => (0.5, 3.0 + (m / kinds.len()) as f64),
@@ -219,6 +227,25 @@ mod tests {
             seeds.len() * 2 <= spec.requests,
             "≥ 50% of requests must repeat a pooled matrix"
         );
+    }
+
+    #[test]
+    fn synth_densities_stay_in_range_for_large_pools() {
+        let spec = SynthSpec {
+            requests: 4000,
+            unique_matrices: 4000,
+            ..SynthSpec::quick(13)
+        };
+        for req in synth_trace(&spec) {
+            assert!(
+                req.density > 0.0 && req.density <= 0.5,
+                "request {} ({}) has density {}",
+                req.id,
+                req.gen,
+                req.density
+            );
+            req.desc().expect("every synth spec is well-formed");
+        }
     }
 
     #[test]

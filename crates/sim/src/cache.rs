@@ -4,6 +4,8 @@
 //! caches its share of the address space. One [`L2Slice`] therefore lives
 //! inside each simulated FB partition.
 
+use crate::config::Divisor;
+
 /// Result of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -17,15 +19,27 @@ pub enum Probe {
     },
 }
 
+/// Tag of an empty way. A line number is a byte address divided by the
+/// line size, so only the last byte of the address space with 1-byte
+/// lines could collide with it.
+const INVALID: u64 = u64::MAX;
+
 /// One L2 slice: `sets × ways` lines, LRU within a set.
+///
+/// Invariant: a way is invalid exactly when its stamp is 0. Every probe
+/// advances `tick` before stamping, so valid ways carry distinct stamps
+/// ≥ 1, and the first way with the smallest stamp is the first invalid
+/// way if there is one and the least recently used way otherwise.
 #[derive(Debug, Clone)]
 pub struct L2Slice {
     line_bytes: u64,
-    sets: usize,
+    line_shift: u32,
+    sets: Divisor,
+    num_sets: usize,
     ways: usize,
-    /// tags[set * ways + way]; `None` = invalid.
-    tags: Vec<Option<u64>>,
-    /// LRU stamps parallel to `tags` (larger = more recent).
+    /// tags[set * ways + way]; [`INVALID`] = empty.
+    tags: Vec<u64>,
+    /// LRU stamps parallel to `tags` (larger = more recent, 0 = empty).
     stamps: Vec<u64>,
     /// Dirty bits parallel to `tags`.
     dirty: Vec<bool>,
@@ -49,10 +63,15 @@ impl L2Slice {
         let sets = lines / ways;
         Self {
             line_bytes: line_bytes as u64,
-            sets,
+            line_shift: line_bytes.trailing_zeros(),
+            sets: Divisor::new(sets as u64),
+            num_sets: sets,
             ways,
-            tags: vec![None; lines],
+            // nmt-lint: allow(hot-alloc) — constructor, once per simulated partition
+            tags: vec![INVALID; lines],
+            // nmt-lint: allow(hot-alloc) — constructor, once per simulated partition
             stamps: vec![0; lines],
+            // nmt-lint: allow(hot-alloc) — constructor, once per simulated partition
             dirty: vec![false; lines],
             tick: 0,
         }
@@ -60,7 +79,7 @@ impl L2Slice {
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.num_sets
     }
 
     /// Line size in bytes.
@@ -71,42 +90,47 @@ impl L2Slice {
     /// Probe the line containing `addr`; fill on miss. `write` marks the
     /// line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
-        self.tick += 1;
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
-        let slot_range = base..base + self.ways;
+        self.access_line(addr >> self.line_shift, write)
+    }
 
-        // Hit?
-        for i in slot_range.clone() {
-            if self.tags[i] == Some(line) {
-                self.stamps[i] = self.tick;
-                if write {
-                    self.dirty[i] = true;
-                }
+    /// [`L2Slice::access`] for line number `line` (`addr / line_bytes`).
+    ///
+    /// One pass over the set finds the hit, or else the first way with
+    /// the smallest stamp: by the stamp invariant, the first invalid way
+    /// if any, else the least recently used one.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64, write: bool) -> Probe {
+        debug_assert_ne!(line, INVALID, "line number collides with the empty tag");
+        self.tick += 1;
+        let base = self.sets.rem(line) as usize * self.ways;
+        let end = base + self.ways;
+        let tags = &mut self.tags[base..end];
+        let stamps = &mut self.stamps[base..end];
+        let dirty = &mut self.dirty[base..end];
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (way, (&tag, &stamp)) in tags.iter().zip(stamps.iter()).enumerate() {
+            if tag == line {
+                stamps[way] = self.tick;
+                dirty[way] |= write;
                 return Probe::Hit;
             }
+            if stamp < oldest {
+                oldest = stamp;
+                victim = way;
+            }
         }
-        // Miss: fill invalid slot or evict LRU.
-        let victim = slot_range
-            .clone()
-            .find(|&i| self.tags[i].is_none())
-            .unwrap_or_else(|| {
-                slot_range
-                    .min_by_key(|&i| self.stamps[i])
-                    .unwrap_or(base)
-            });
-        let dirty_writeback = self.tags[victim].is_some() && self.dirty[victim];
-        self.tags[victim] = Some(line);
-        self.stamps[victim] = self.tick;
-        self.dirty[victim] = write;
+        let dirty_writeback = tags[victim] != INVALID && dirty[victim];
+        tags[victim] = line;
+        stamps[victim] = self.tick;
+        dirty[victim] = write;
         Probe::Miss { dirty_writeback }
     }
 
     /// Drop all contents (between kernels, when desired).
     pub fn flush(&mut self) -> usize {
         let dirty_lines = self.dirty.iter().filter(|&&d| d).count();
-        self.tags.fill(None);
+        self.tags.fill(INVALID);
         self.dirty.fill(false);
         self.stamps.fill(0);
         dirty_lines

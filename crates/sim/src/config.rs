@@ -197,6 +197,55 @@ impl GpuConfig {
     }
 }
 
+/// `x / d` and `x % d` for a divisor fixed when the simulator is built.
+///
+/// The per-access path routes every simulated line through an interleave
+/// divide, a partition modulo and a set modulo. When the divisor is a
+/// power of two — every geometry of the small suite — they become a shift
+/// and a mask; otherwise (GV100's 48 sets per slice, TU116's 24
+/// partitions) they fall back to the hardware divide. Both paths return
+/// the same quotient and remainder, so simulated statistics do not depend
+/// on which one a geometry takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Divisor {
+    divisor: u64,
+    /// `log2(divisor)` when `pow2`.
+    shift: u32,
+    pow2: bool,
+}
+
+impl Divisor {
+    /// Precompute for `divisor`. A zero divisor keeps the divide path, so
+    /// it panics at first use exactly as a plain `/` would.
+    pub(crate) const fn new(divisor: u64) -> Self {
+        Self {
+            divisor,
+            shift: divisor.trailing_zeros(),
+            pow2: divisor.is_power_of_two(),
+        }
+    }
+
+    /// `x / divisor`.
+    #[inline(always)]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.shift
+        } else {
+            x / self.divisor
+        }
+    }
+
+    /// `x % divisor`.
+    #[inline(always)]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        if self.pow2 {
+            x & (self.divisor - 1)
+        } else {
+            x % self.divisor
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,5 +296,20 @@ mod tests {
         let mut c = GpuConfig::test_small();
         c.l2_bytes = 64 * 1024 + 1;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn divisor_matches_plain_division() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for d in [1u64, 2, 3, 24, 48, 64, 128, 256, 1000, 1 << 40] {
+            let div = Divisor::new(d);
+            for _ in 0..1000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                for v in [x, x >> 20, x & 0xffff, 0, u64::MAX] {
+                    assert_eq!(div.div(v), v / d, "{v} / {d}");
+                    assert_eq!(div.rem(v), v % d, "{v} % {d}");
+                }
+            }
+        }
     }
 }

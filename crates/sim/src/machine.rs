@@ -17,7 +17,7 @@
 //! roofline-with-latency approximation for throughput processors.
 
 use crate::config::GpuConfig;
-use crate::memory::MemorySubsystem;
+use crate::memory::{MemSnapshot, MemorySubsystem};
 use crate::stats::{InstrClass, KernelStats, TrafficClass, WarpExecStats};
 
 /// Errors produced by the machine model.
@@ -114,6 +114,10 @@ pub struct Gpu {
     config: GpuConfig,
     mem: MemorySubsystem,
     next_addr: u64,
+    /// Per-launch scratch, kept across launches so that a launch
+    /// allocates nothing once the first has sized it.
+    launch_before: MemSnapshot,
+    sm_instrs: Vec<u64>,
 }
 
 impl Gpu {
@@ -121,10 +125,14 @@ impl Gpu {
     pub fn new(config: GpuConfig) -> Result<Self, SimError> {
         config.validate().map_err(SimError::BadConfig)?;
         let mem = MemorySubsystem::new(&config);
+        // nmt-lint: allow(hot-alloc) — constructor, sized by the SM count
+        let sm_instrs = vec![0; config.num_sms];
         Ok(Self {
             config,
             mem,
             next_addr: 0,
+            launch_before: MemSnapshot::default(),
+            sm_instrs,
         })
     }
 
@@ -198,8 +206,11 @@ impl Gpu {
                 available: self.config.shared_mem_bytes,
             });
         }
-        let before = self.mem.snapshot();
-        let mut sm_instrs = vec![0u64; self.config.num_sms];
+        let before = &mut self.launch_before;
+        before.refresh(&self.mem);
+        let sm_instrs = &mut self.sm_instrs;
+        sm_instrs.fill(0);
+        let line_shift = self.config.l2_line_bytes.trailing_zeros();
         let mut warp_exec = WarpExecStats::default();
         let mut chain_loads = 0u64;
         let mut flops = 0u64;
@@ -210,6 +221,7 @@ impl Gpu {
                 block_id,
                 warp_size: self.config.warp_size,
                 line_bytes: self.config.l2_line_bytes as u64,
+                line_shift,
                 mem: &mut self.mem,
                 warp_exec: WarpExecStats::default(),
                 warp_instrs: 0,
@@ -327,6 +339,9 @@ pub struct BlockCtx<'a> {
     pub block_id: usize,
     warp_size: usize,
     line_bytes: u64,
+    /// `log2(line_bytes)`: the validated config makes the line a power of
+    /// two, so line numbers and line counts are shifts.
+    line_shift: u32,
     mem: &'a mut MemorySubsystem,
     warp_exec: WarpExecStats,
     warp_instrs: u64,
@@ -379,12 +394,10 @@ impl BlockCtx<'_> {
         self.mem
             .access(buf.at(offset), nbytes, buf.class, write, atomic);
         // A fully-coalesced warp moves one line per memory instruction.
-        let instrs = nbytes.div_ceil(self.line_bytes).max(1);
+        let instrs = self.lines_spanned(nbytes).max(1);
         let lanes = ((nbytes / 4).max(1) as usize).min(self.warp_size);
-        for _ in 0..instrs {
-            self.warp_exec
-                .record(InstrClass::Memory, lanes, self.warp_size);
-        }
+        self.warp_exec
+            .record_n(InstrClass::Memory, lanes, self.warp_size, instrs);
         self.warp_instrs += instrs;
         if dependent {
             self.chain_loads += instrs;
@@ -429,24 +442,13 @@ impl BlockCtx<'_> {
         let mut last_line = u64::MAX;
         for &off in offsets {
             let addr = buf.at(off);
-            let line = addr / self.line_bytes;
+            let line = addr >> self.line_shift;
             if line != last_line {
                 self.mem.access(addr, elem_bytes, buf.class, false, false);
                 last_line = line;
             }
         }
-        let instrs = (offsets.len() as u64).div_ceil(self.warp_size as u64);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                self.warp_size.min(offsets.len()),
-                self.warp_size,
-            );
-        }
-        self.warp_instrs += instrs;
-        if dependent {
-            self.chain_loads += instrs;
-        }
+        self.lane_instrs(offsets.len(), dependent);
     }
 
     /// The store counterpart of [`BlockCtx::ld_global_strided`]
@@ -483,21 +485,34 @@ impl BlockCtx<'_> {
         let mut last_line = u64::MAX;
         for i in 0..count as u64 {
             let addr = buf.at(base + i * stride);
-            let line = addr / self.line_bytes;
+            let line = addr >> self.line_shift;
             // Coalesce only exact same-line repeats from adjacent lanes.
             if line != last_line {
                 self.mem.access(addr, elem_bytes, buf.class, write, false);
                 last_line = line;
             }
         }
+        self.lane_instrs(count, dependent);
+    }
+
+    /// Cache lines a fully coalesced `nbytes` transfer spans
+    /// (`nbytes.div_ceil(line_bytes)`).
+    #[inline]
+    fn lines_spanned(&self, nbytes: u64) -> u64 {
+        (nbytes >> self.line_shift) + u64::from(nbytes & (self.line_bytes - 1) != 0)
+    }
+
+    /// Issue accounting for a per-lane access of `count` elements: one
+    /// memory instruction per warp-width of lanes, each with
+    /// `min(warp_size, count)` lanes active.
+    fn lane_instrs(&mut self, count: usize, dependent: bool) {
         let instrs = (count as u64).div_ceil(self.warp_size as u64);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                self.warp_size.min(count),
-                self.warp_size,
-            );
-        }
+        self.warp_exec.record_n(
+            InstrClass::Memory,
+            self.warp_size.min(count),
+            self.warp_size,
+            instrs,
+        );
         self.warp_instrs += instrs;
         if dependent {
             self.chain_loads += instrs;
@@ -512,11 +527,9 @@ impl BlockCtx<'_> {
             return;
         }
         self.xbar_bytes += nbytes;
-        let instrs = nbytes.div_ceil(self.line_bytes).max(1);
-        for _ in 0..instrs {
-            self.warp_exec
-                .record(InstrClass::Memory, self.warp_size, self.warp_size);
-        }
+        let instrs = self.lines_spanned(nbytes).max(1);
+        self.warp_exec
+            .record_n(InstrClass::Memory, self.warp_size, self.warp_size, instrs);
         self.warp_instrs += instrs;
     }
 
@@ -524,13 +537,12 @@ impl BlockCtx<'_> {
     /// global traffic.
     pub fn shared_op(&mut self, nbytes: u64, active_lanes: usize) {
         let instrs = nbytes.div_ceil((self.warp_size * 4) as u64).max(1);
-        for _ in 0..instrs {
-            self.warp_exec.record(
-                InstrClass::Memory,
-                active_lanes.min(self.warp_size),
-                self.warp_size,
-            );
-        }
+        self.warp_exec.record_n(
+            InstrClass::Memory,
+            active_lanes.min(self.warp_size),
+            self.warp_size,
+            instrs,
+        );
         self.warp_instrs += instrs;
     }
 
@@ -538,9 +550,7 @@ impl BlockCtx<'_> {
     /// lanes doing useful work (the rest are predicated off / divergent).
     pub fn warp_instr(&mut self, class: InstrClass, active_lanes: usize, count: u64) {
         let lanes = active_lanes.min(self.warp_size);
-        for _ in 0..count {
-            self.warp_exec.record(class, lanes, self.warp_size);
-        }
+        self.warp_exec.record_n(class, lanes, self.warp_size, count);
         self.warp_instrs += count;
     }
 
@@ -548,9 +558,8 @@ impl BlockCtx<'_> {
     /// active lanes: records FP issue and 2 FLOPs per active lane.
     pub fn fma(&mut self, active_lanes: usize, count: u64) {
         let lanes = active_lanes.min(self.warp_size);
-        for _ in 0..count {
-            self.warp_exec.record(InstrClass::Fp, lanes, self.warp_size);
-        }
+        self.warp_exec
+            .record_n(InstrClass::Fp, lanes, self.warp_size, count);
         self.warp_instrs += count;
         self.flops += 2 * lanes as u64 * count;
     }

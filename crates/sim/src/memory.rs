@@ -9,7 +9,7 @@
 //! engine's data-layout discussion (§6.1) depends on.
 
 use crate::cache::{L2Slice, Probe};
-use crate::config::GpuConfig;
+use crate::config::{Divisor, GpuConfig};
 use crate::stats::{TrafficBytes, TrafficClass};
 use crate::trace::{AccessKind, TraceBuffer, TraceEvent};
 use nmt_fault::{FaultPlan, FaultSite};
@@ -62,15 +62,17 @@ impl FbPartition {
         }
     }
 
-    /// Access one cache line, of which `touched` bytes (sector-rounded)
-    /// are actually demanded. Returns whether it hit in L2.
+    /// Access cache line number `line_no`, of which `touched` bytes
+    /// (sector-rounded) are actually demanded. Returns whether it hit in
+    /// L2.
     ///
     /// `force_miss` models a prefetch-buffer overflow: the line may still
     /// be resident (cache state is untouched on a hit), but the fill was
     /// dropped and must be re-fetched, so a hit is billed as a miss.
+    #[inline]
     fn access_line(
         &mut self,
-        addr: u64,
+        line_no: u64,
         write: bool,
         cost_factor: f64,
         touched: u64,
@@ -78,7 +80,7 @@ impl FbPartition {
     ) -> bool {
         let line = self.l2.line_bytes();
         let touched = touched.min(line) as f64;
-        match self.l2.access(addr, write) {
+        match self.l2.access_line(line_no, write) {
             Probe::Hit if force_miss => {
                 self.counters.l2_misses += 1;
                 self.counters.dram_bytes += touched as u64;
@@ -122,8 +124,14 @@ impl FbPartition {
 #[derive(Debug, Clone)]
 pub struct MemorySubsystem {
     partitions: Vec<FbPartition>,
-    interleave: u64,
+    /// Address-interleave granularity, as a divisor.
+    interleave: Divisor,
+    /// Partition count, as a divisor.
+    num_partitions: Divisor,
     line_bytes: u64,
+    /// `log2(line_bytes)`; the validated config makes the line a power
+    /// of two.
+    line_shift: u32,
     atomic_cost_factor: f64,
     /// Bytes requested by SMs (pre-L2), per traffic class.
     requested: TrafficBytes,
@@ -148,8 +156,10 @@ impl MemorySubsystem {
             partitions: (0..config.num_partitions)
                 .map(|_| FbPartition::new(config))
                 .collect(),
-            interleave: config.interleave_bytes,
+            interleave: Divisor::new(config.interleave_bytes),
+            num_partitions: Divisor::new(config.num_partitions as u64),
             line_bytes: config.l2_line_bytes as u64,
+            line_shift: config.l2_line_bytes.trailing_zeros(),
             atomic_cost_factor: config.atomic_cost_factor,
             requested: TrafficBytes::default(),
             dram: TrafficBytes::default(),
@@ -200,10 +210,11 @@ impl MemorySubsystem {
         self.trace.as_ref()
     }
 
-    /// The partition owning byte address `addr`.
+    /// The partition owning byte address `addr`:
+    /// `(addr / interleave_bytes) % num_partitions`.
     #[inline]
     pub fn partition_of(&self, addr: u64) -> usize {
-        ((addr / self.interleave) % self.partitions.len() as u64) as usize
+        self.num_partitions.rem(self.interleave.div(addr)) as usize
     }
 
     /// Perform a global-memory access of `nbytes` starting at `addr`.
@@ -259,24 +270,20 @@ impl MemorySubsystem {
                 self.fault_prefetch_overflows += 1;
             }
         }
-        let first_line = addr / self.line_bytes;
-        let last_line = (addr + nbytes - 1) / self.line_bytes;
+        let end = addr + nbytes;
+        let first_line = addr >> self.line_shift;
+        let last_line = (end - 1) >> self.line_shift;
         for line in first_line..=last_line {
-            let line_addr = line * self.line_bytes;
+            let line_addr = line << self.line_shift;
             // Sector-rounded bytes of this line the access demands.
             let lo = addr.max(line_addr);
-            let hi = (addr + nbytes).min(line_addr + self.line_bytes);
+            let hi = end.min(line_addr + self.line_bytes);
             let sec_lo = (lo - line_addr) / SECTOR_BYTES * SECTOR_BYTES;
             let sec_hi = (hi - line_addr).div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
             let touched = (sec_hi - sec_lo).min(self.line_bytes);
             let p = self.partition_of(line_addr);
-            let hit = self.partitions[p].access_line(
-                line_addr,
-                write || atomic,
-                cost,
-                touched,
-                force_miss,
-            );
+            let hit =
+                self.partitions[p].access_line(line, write || atomic, cost, touched, force_miss);
             if !hit {
                 self.dram.add(class, touched);
             }
@@ -341,20 +348,15 @@ impl MemorySubsystem {
 
     /// Snapshot used by the machine to compute per-kernel deltas.
     pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            busy: self.partitions.iter().map(FbPartition::busy_ns).collect(),
-            requested: self.requested,
-            dram: self.dram,
-            l2_hits: self.aggregate().l2_hits,
-            l2_misses: self.aggregate().l2_misses,
-            atomics: self.atomics,
-        }
+        let mut snap = MemSnapshot::default();
+        snap.refresh(self);
+        snap
     }
 }
 
 /// Point-in-time copy of the memory counters (see
 /// [`MemorySubsystem::snapshot`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemSnapshot {
     /// Per-partition busy ns at snapshot time.
     pub busy: Vec<f64>,
@@ -371,10 +373,26 @@ pub struct MemSnapshot {
 }
 
 impl MemSnapshot {
+    /// Overwrite this snapshot with `mem`'s current counters, reusing the
+    /// per-partition buffer, so a launch that keeps its snapshot
+    /// allocates nothing after the first.
+    pub fn refresh(&mut self, mem: &MemorySubsystem) {
+        self.busy.clear();
+        self.busy
+            .extend(mem.partitions.iter().map(FbPartition::busy_ns));
+        let agg = mem.aggregate();
+        self.requested = mem.requested;
+        self.dram = mem.dram;
+        self.l2_hits = agg.l2_hits;
+        self.l2_misses = agg.l2_misses;
+        self.atomics = mem.atomics;
+    }
+
     /// Max over partitions of busy-time growth since this snapshot.
     pub fn max_busy_delta(&self, now: &MemorySubsystem) -> f64 {
-        now.partition_busy_ns()
+        now.partitions
             .iter()
+            .map(FbPartition::busy_ns)
             .zip(&self.busy)
             .map(|(a, b)| a - b)
             .fold(0.0, f64::max)
@@ -398,6 +416,33 @@ mod tests {
         assert_eq!(m.partition_of(256), 1);
         assert_eq!(m.partition_of(3 * 256), 3);
         assert_eq!(m.partition_of(4 * 256), 0);
+    }
+
+    #[test]
+    fn partition_of_matches_plain_division_on_every_preset() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for config in [
+            GpuConfig::gv100(),
+            GpuConfig::tu116(),
+            GpuConfig::test_small(),
+        ] {
+            let m = MemorySubsystem::new(&config);
+            let parts = config.num_partitions as u64;
+            for _ in 0..10_000 {
+                // xorshift64: full-width random addresses.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                for addr in [x, x >> 24] {
+                    assert_eq!(
+                        m.partition_of(addr) as u64,
+                        (addr / config.interleave_bytes) % parts,
+                        "{} at {addr:#x}",
+                        config.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

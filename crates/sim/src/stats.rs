@@ -145,6 +145,23 @@ impl WarpExecStats {
         self.inactive += (warp_size - active_lanes) as u64;
     }
 
+    /// Record `count` warp instructions of `class`, each with
+    /// `active_lanes` of `warp_size` lanes active: the same totals as
+    /// `count` calls of [`WarpExecStats::record`], in O(1).
+    #[inline]
+    pub fn record_n(
+        &mut self,
+        class: InstrClass,
+        active_lanes: usize,
+        warp_size: usize,
+        count: u64,
+    ) {
+        debug_assert!(active_lanes <= warp_size);
+        // nmt-lint: allow(slice-index) — idx() is an enum discriminant < COUNT
+        self.active[class.idx()] += active_lanes as u64 * count;
+        self.inactive += (warp_size - active_lanes) as u64 * count;
+    }
+
     /// Total thread-slot executions (active + inactive).
     pub fn total_slots(&self) -> u64 {
         self.active.iter().sum::<u64>() + self.inactive
@@ -275,6 +292,31 @@ impl KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn record_n_equals_repeated_record(
+            start_active in (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
+            start_inactive in 0u64..1 << 40,
+            class in 0usize..InstrClass::COUNT,
+            warp in 1usize..=64,
+            lanes_seed in 0usize..=64,
+            count in 0u64..300,
+        ) {
+            let class = InstrClass::ALL[class];
+            let lanes = lanes_seed.min(warp);
+            let (a0, a1, a2, a3) = start_active;
+            let start = WarpExecStats { active: [a0, a1, a2, a3], inactive: start_inactive };
+            let mut looped = start;
+            for _ in 0..count {
+                looped.record(class, lanes, warp);
+            }
+            let mut batched = start;
+            batched.record_n(class, lanes, warp, count);
+            prop_assert_eq!(batched, looped);
+        }
+    }
 
     #[test]
     fn class_idx_roundtrips_through_all() {
