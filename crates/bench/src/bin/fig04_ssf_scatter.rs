@@ -12,8 +12,9 @@ use nmt_bench::{
 };
 use nmt_formats::SparseMatrix;
 use nmt_matgen::random_dense;
-use nmt_model::ssf::SsfProfile;
+use nmt_model::ssf::{Choice, SsfProfile};
 use nmt_model::{classify, learn_threshold};
+use nmt_obs::ObsContext;
 
 fn main() {
     banner(
@@ -35,8 +36,15 @@ fn main() {
             threshold: nmt::DEFAULT_SSF_THRESHOLD,
             fault: None,
         });
-        let (tc, tb) = planner.profile_both(a, &b).expect("both kernels run");
-        (desc.name.clone(), profile, tc / tb)
+        let time_of = |choice| {
+            planner
+                .run_candidate(choice, a, &b, &ObsContext::disabled())
+                .expect("both kernels run")
+                .stats
+                .total_ns
+        };
+        let ratio = time_of(Choice::CStationary) / time_of(Choice::BStationary);
+        (desc.name.clone(), profile, ratio)
     });
 
     let mut rows: Vec<Vec<String>> = points
@@ -63,7 +71,7 @@ fn main() {
     let correct = samples
         .iter()
         .filter(|&&(ssf, ratio)| {
-            let predicted_b = classify(ssf, &th) == nmt_model::ssf::Choice::BStationary;
+            let predicted_b = classify(ssf, &th) == Choice::BStationary;
             predicted_b == (ratio > 1.0)
         })
         .count();

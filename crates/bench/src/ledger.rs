@@ -724,29 +724,14 @@ impl LedgerRow {
 /// fails lands in [`Ledger::errors`] instead of aborting the sweep, and
 /// both rows and error rows come out in suite order regardless of
 /// thread count.
-pub fn sweep_ledger(scale: SuiteScale) -> Result<Ledger, SimError> {
-    sweep_ledger_faulted(scale, None)
-}
-
-/// [`sweep_ledger`] with a [`FaultPlan`] installed in every per-matrix
-/// planner. Faults fire at `(seed, site, key)`-determined points, so the
-/// faulted ledger is just as byte-reproducible as the clean one; engine
-/// faults that exhaust their retry are absorbed per-matrix by the B→C
-/// degraded-mode fallback (visible in `fault.*` metrics and the audit),
-/// and any error that still stops a matrix carries its fault attribution
-/// in [`ErrorRow::fault`].
-pub fn sweep_ledger_faulted(
-    scale: SuiteScale,
-    fault: Option<FaultPlan>,
-) -> Result<Ledger, SimError> {
-    sweep_ledger_instrumented(scale, fault, None, None)
-}
-
-/// [`sweep_ledger_faulted`] with the observability extras wired in:
 ///
-/// * `progress` — a [`ProgressReporter`] fed from inside the parallel
-///   sweep (per-matrix phase updates + completion counts). Reporting only
-///   observes; the ledger bytes are unaffected.
+/// * `fault` — a [`FaultPlan`] installed in every per-matrix planner.
+///   Faults fire at `(seed, site, key)`-determined points, so the faulted
+///   ledger is just as byte-reproducible as the clean one; engine faults
+///   that exhaust their retry are absorbed per-matrix by the B→C
+///   degraded-mode fallback (visible in `fault.*` metrics and the audit),
+///   and any error that still stops a matrix carries its fault
+///   attribution in [`ErrorRow::fault`].
 /// * `perf` — when set, a **serial** wall-time measurement pass runs
 ///   after the deterministic sweep and attaches a [`PerfSection`]
 ///   (per-matrix, per-phase medians + bootstrap CIs over `perf.iters`
@@ -754,7 +739,10 @@ pub fn sweep_ledger_faulted(
 ///   counting allocator when it is installed). The pass is serial so one
 ///   matrix's timing never contends with another's; the audit rows are
 ///   still the parallel sweep's byte-identical output.
-pub fn sweep_ledger_instrumented(
+/// * `progress` — a [`ProgressReporter`] fed from inside the parallel
+///   sweep (per-matrix phase updates + completion counts). Reporting only
+///   observes; the ledger bytes are unaffected.
+pub fn sweep_ledger(
     scale: SuiteScale,
     fault: Option<FaultPlan>,
     perf: Option<&BenchConfig>,
@@ -989,7 +977,8 @@ mod tests {
     use super::*;
 
     /// A reduced sweep over the quick suite so tests stay fast; mirrors
-    /// [`sweep_ledger`] with the test-small planner.
+    /// [`sweep_ledger`] (no fault plan, perf pass or progress) with the
+    /// test-small planner.
     fn quick_ledger(seed: u64) -> Ledger {
         let config = PlannerConfig::test_small();
         let tile = config.tile_w;

@@ -32,5 +32,7 @@ pub use api::{ConversionQueue, GetDcsrTileRequest, TimedTileResponse};
 pub use audit::{DecisionAudit, KernelAudit, TrafficValidation};
 pub use fingerprint::MatrixFingerprint;
 pub use multi_gpu::{LargeSpmmProblem, MultiGpuConfig, MultiGpuReport};
-pub use planner::{Algorithm, PlanReport, PlannerConfig, SpmmPlanner, DEFAULT_SSF_THRESHOLD};
+pub use planner::{
+    Algorithm, CandidateRun, PlanReport, PlannerConfig, SpmmPlanner, DEFAULT_SSF_THRESHOLD,
+};
 pub use report::{RunRecord, SuiteReport};

@@ -4,7 +4,7 @@ use crate::audit::{DecisionAudit, KernelAudit};
 use nmt_engine::{conversion_energy_pj, ConversionStats};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
 use nmt_formats::{Csr, Dcsr, DenseMatrix, SparseMatrix};
-use nmt_kernels::{bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp};
+use nmt_kernels::{bstat_tiled_dcsr_online_obs, csrmm_cusparse, dcsrmm_row_per_warp, KernelRun};
 use nmt_model::ssf::{classify, Choice, SsfProfile, SsfThreshold};
 use nmt_model::{Dataflow, TrafficModel};
 use nmt_obs::ObsContext;
@@ -107,6 +107,27 @@ pub struct PlanReport {
     pub fault: Option<FaultRecord>,
 }
 
+/// One candidate kernel's run on a fresh cold-cache GPU, as
+/// [`SpmmPlanner::run_candidate`] returns it.
+#[derive(Debug, Clone)]
+pub struct CandidateRun {
+    /// Kernel actually executed: the candidate, or the C-stationary
+    /// fallback when the B-stationary attempt escalated a fault.
+    pub algorithm: Algorithm,
+    /// Stats of the kernel that ran.
+    pub stats: KernelStats,
+    /// The computed product `C = A × B`.
+    pub c: DenseMatrix,
+    /// Engine activity (present when the online path ran).
+    pub engine: Option<ConversionStats>,
+    /// The escalated fault absorbed by the degraded-mode fallback, if any.
+    pub fault: Option<FaultRecord>,
+    /// Injected DRAM latency spikes on the GPU that produced `c`.
+    pub dram_spikes: u64,
+    /// Injected prefetch-buffer overflows on the GPU that produced `c`.
+    pub prefetch_overflows: u64,
+}
+
 /// The auto-tuning SpMM planner.
 #[derive(Debug, Clone)]
 pub struct SpmmPlanner {
@@ -132,6 +153,95 @@ impl SpmmPlanner {
         (profile, choice)
     }
 
+    /// The cuSPARSE-baseline stand-in on a fresh, fault-free GPU: the
+    /// reference every candidate's speedup is measured against.
+    fn run_baseline(&self, a: &Csr, b: &DenseMatrix) -> Result<KernelRun, SimError> {
+        let mut gpu = Gpu::new(self.config.gpu.clone())?;
+        csrmm_cusparse(&mut gpu, a, b)
+    }
+
+    /// Run one candidate kernel on a fresh, cold-cache GPU carrying the
+    /// configured fault plan: untiled DCSR row-per-warp for
+    /// [`Choice::CStationary`], the engine's online-tiled DCSR for
+    /// [`Choice::BStationary`].
+    ///
+    /// This is the one home of the degraded-mode policy. When the
+    /// B-stationary attempt escalates an injected engine fault (it
+    /// survived its strip retry), the matrix falls back to the untiled
+    /// C-stationary path on another fresh GPU with the same fault plan —
+    /// the paper's hybrid switch used as a fault response; memory-site
+    /// faults stay active but only perturb timing. The returned
+    /// [`FaultRecord`] says `fell_back: true`, because this run's output
+    /// is the fallback's.
+    pub fn run_candidate(
+        &self,
+        choice: Choice,
+        a: &Csr,
+        b: &DenseMatrix,
+        obs: &ObsContext,
+    ) -> Result<CandidateRun, SimError> {
+        let fresh_gpu = || -> Result<Gpu, SimError> {
+            let mut gpu = Gpu::new(self.config.gpu.clone())?;
+            gpu.set_fault_plan(self.config.fault);
+            Ok(gpu)
+        };
+        let cstationary = |gpu: &mut Gpu| {
+            let dcsr = {
+                let _s = obs.span("engine.convert");
+                Dcsr::from_csr(a)
+            };
+            let _s = obs.span("kernels.launch");
+            dcsrmm_row_per_warp(gpu, &dcsr, b)
+        };
+        let mut gpu = fresh_gpu()?;
+        let mut fault = None;
+        let (algorithm, run, engine) = match choice {
+            Choice::CStationary => (Algorithm::CStationaryDcsr, cstationary(&mut gpu)?, None),
+            Choice::BStationary => match bstat_tiled_dcsr_online_obs(
+                &mut gpu,
+                &a.to_csc(),
+                b,
+                self.config.tile_w,
+                self.config.tile_h,
+                obs,
+            ) {
+                Ok(online) => (
+                    Algorithm::BStationaryOnline,
+                    online.run,
+                    Some(online.engine),
+                ),
+                Err(SimError::InjectedFault { site, key, detail }) => {
+                    obs.flight.record(
+                        nmt_obs::EventSite::PlannerFallback,
+                        site.code() as u32,
+                        key,
+                        0,
+                    );
+                    fault = Some(FaultRecord {
+                        retried: site == FaultSite::ConvertStrip,
+                        fell_back: true,
+                        site,
+                        key,
+                        detail,
+                    });
+                    gpu = fresh_gpu()?;
+                    (Algorithm::CStationaryDcsr, cstationary(&mut gpu)?, None)
+                }
+                Err(other) => return Err(other),
+            },
+        };
+        let mem = gpu.memory();
+        Ok(CandidateRun {
+            algorithm,
+            stats: run.stats,
+            c: run.c,
+            engine,
+            fault,
+            dram_spikes: mem.fault_dram_spikes(),
+            prefetch_overflows: mem.fault_prefetch_overflows(),
+        })
+    }
+
     /// Profile, choose, execute and compare against the baseline.
     ///
     /// Each kernel runs on a fresh, cold-cache GPU instance so timings are
@@ -146,7 +256,8 @@ impl SpmmPlanner {
     /// `engine.convert`/`kernels.launch` nested below), per-phase wall
     /// clock lands in `planner.phase.*_ns` gauges, and both kernels'
     /// [`KernelStats`] are bridged into the registry under
-    /// `kernels.baseline.*` / `kernels.chosen.*`.
+    /// `kernels.baseline.*` / `kernels.chosen.*`. The chosen kernel runs
+    /// through [`run_candidate`](Self::run_candidate).
     pub fn execute_with_obs(
         &self,
         a: &Csr,
@@ -156,6 +267,14 @@ impl SpmmPlanner {
         let mut root = obs.span("planner.execute");
         root.counter("nrows", a.shape().nrows as f64);
         root.counter("nnz", a.nnz() as f64);
+        let phase_event = |phase: u32| {
+            obs.flight.record(
+                nmt_obs::EventSite::PlannerPhase,
+                phase,
+                a.shape().nrows as u64,
+                a.nnz() as u64,
+            );
+        };
 
         let t0 = obs.recorder.now_ns();
         let (profile, choice) = {
@@ -165,117 +284,34 @@ impl SpmmPlanner {
             (profile, choice)
         };
         let t_plan = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            0,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase_event(0);
 
         let baseline = {
             let _s = obs.span("planner.baseline");
-            let mut base_gpu = Gpu::new(self.config.gpu.clone())?;
-            csrmm_cusparse(&mut base_gpu, a, b)?
+            self.run_baseline(a, b)?
         };
         publish_kernel_stats(obs, "kernels.baseline", &baseline.stats);
         let t_baseline = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            1,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase_event(1);
 
-        let chosen_span = obs.span("planner.chosen");
-        let mut gpu = Gpu::new(self.config.gpu.clone())?;
-        gpu.set_fault_plan(self.config.fault);
-        let (algorithm, stats, c, engine, fault) = match choice {
-            Choice::CStationary => {
-                let dcsr = {
-                    let _s = obs.span("engine.convert");
-                    Dcsr::from_csr(a)
-                };
-                let run = {
-                    let _s = obs.span("kernels.launch");
-                    dcsrmm_row_per_warp(&mut gpu, &dcsr, b)?
-                };
-                (Algorithm::CStationaryDcsr, run.stats, run.c, None, None)
-            }
-            Choice::BStationary => {
-                let csc = a.to_csc();
-                match bstat_tiled_dcsr_online_obs(
-                    &mut gpu,
-                    &csc,
-                    b,
-                    self.config.tile_w,
-                    self.config.tile_h,
-                    obs,
-                ) {
-                    Ok(online) => (
-                        Algorithm::BStationaryOnline,
-                        online.run.stats,
-                        online.run.c,
-                        Some(online.engine),
-                        None,
-                    ),
-                    Err(SimError::InjectedFault { site, key, detail }) => {
-                        // Degraded mode: the engine-side fault survived its
-                        // strip retry, so fall back per-matrix to the
-                        // untiled C-stationary path — the paper's hybrid
-                        // switch used as a fault response. Fresh cold-cache
-                        // GPU, same fault plan (memory-site faults remain
-                        // active but are timing-only).
-                        obs.flight.record(
-                            nmt_obs::EventSite::PlannerFallback,
-                            site.code() as u32,
-                            key,
-                            0,
-                        );
-                        let mut fb_gpu = Gpu::new(self.config.gpu.clone())?;
-                        fb_gpu.set_fault_plan(self.config.fault);
-                        let dcsr = {
-                            let _s = obs.span("engine.convert");
-                            Dcsr::from_csr(a)
-                        };
-                        let run = {
-                            let _s = obs.span("kernels.launch");
-                            dcsrmm_row_per_warp(&mut fb_gpu, &dcsr, b)?
-                        };
-                        gpu = fb_gpu;
-                        let record = FaultRecord {
-                            retried: site == FaultSite::ConvertStrip,
-                            fell_back: true,
-                            site,
-                            key,
-                            detail,
-                        };
-                        (Algorithm::CStationaryDcsr, run.stats, run.c, None, Some(record))
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
+        let run = {
+            let _s = obs.span("planner.chosen");
+            self.run_candidate(choice, a, b, obs)?
         };
-        drop(chosen_span);
         let t_chosen = obs.recorder.now_ns();
-        obs.flight.record(
-            nmt_obs::EventSite::PlannerPhase,
-            2,
-            a.shape().nrows as u64,
-            a.nnz() as u64,
-        );
+        phase_event(2);
 
-        publish_kernel_stats(obs, "kernels.chosen", &stats);
-        if fault.is_some() {
+        publish_kernel_stats(obs, "kernels.chosen", &run.stats);
+        if run.fault.is_some() {
             obs.metrics.counter_add("fault.fallbacks", 1);
         }
-        let mem = gpu.memory();
-        if mem.fault_dram_spikes() > 0 {
+        if run.dram_spikes > 0 {
             obs.metrics
-                .counter_add("fault.dram_spikes", mem.fault_dram_spikes());
+                .counter_add("fault.dram_spikes", run.dram_spikes);
         }
-        if mem.fault_prefetch_overflows() > 0 {
+        if run.prefetch_overflows > 0 {
             obs.metrics
-                .counter_add("fault.prefetch_overflows", mem.fault_prefetch_overflows());
+                .counter_add("fault.prefetch_overflows", run.prefetch_overflows);
         }
         obs.metrics
             .gauge_set("planner.phase.plan_ns", (t_plan - t0) as f64);
@@ -285,32 +321,34 @@ impl SpmmPlanner {
             .gauge_set("planner.phase.chosen_ns", (t_chosen - t_baseline) as f64);
 
         debug_assert!(
-            c.approx_eq(&baseline.c, 1e-3),
+            run.c.approx_eq(&baseline.c, 1e-3),
             "planner kernel disagrees with baseline output"
         );
-        let engine_energy_pj = engine
+        let engine_energy_pj = run
+            .engine
             .as_ref()
             .map_or(0.0, |e| conversion_energy_pj(e, false));
-        let speedup = baseline.stats.total_ns / stats.total_ns.max(1e-9);
+        let speedup = baseline.stats.total_ns / run.stats.total_ns.max(1e-9);
         root.counter("speedup", speedup);
         Ok(PlanReport {
             profile,
             choice,
-            algorithm,
+            algorithm: run.algorithm,
             speedup,
-            stats,
+            stats: run.stats,
             baseline_stats: baseline.stats,
-            engine,
+            engine: run.engine,
             engine_energy_pj,
-            c,
-            fault,
+            c: run.c,
+            fault: run.fault,
         })
     }
 
     /// Audit one matrix end to end: profile it, run the baseline **and
-    /// both** candidate kernels on fresh cold-cache GPUs, compare the
-    /// heuristic's pick against the measured oracle, and cross-check each
-    /// kernel's per-class DRAM bytes against the Table 1 analytical model
+    /// both** candidate kernels through
+    /// [`run_candidate`](Self::run_candidate), compare the heuristic's
+    /// pick against the measured oracle, and cross-check each kernel's
+    /// per-class DRAM bytes against the Table 1 analytical model
     /// ([`TrafficModel::estimate_with_ncols`] for C-stationary,
     /// [`TrafficModel::estimate_online_bstationary`] for the engine path).
     ///
@@ -332,58 +370,34 @@ impl SpmmPlanner {
 
         let baseline = {
             let _s = obs.span("audit.baseline");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            csrmm_cusparse(&mut gpu, a, b)?
+            self.run_baseline(a, b)?
         };
         let model = TrafficModel::measure(a, self.config.tile_w);
         let k = b.ncols() as f64;
         let c_run = {
             let _s = obs.span("audit.cstationary");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            gpu.set_fault_plan(self.config.fault);
-            dcsrmm_row_per_warp(&mut gpu, &Dcsr::from_csr(a), b)?
+            self.run_candidate(Choice::CStationary, a, b, obs)?
         };
-        // The B-stationary candidate may escalate an injected fault; the
-        // degraded-mode policy then substitutes the untiled C-stationary
-        // run for this matrix's b-side, exactly as `execute` would.
-        let mut fault = None;
-        let (b_stats, b_predicted) = {
+        let b_run = {
             let _s = obs.span("audit.bstationary");
-            let mut gpu = Gpu::new(self.config.gpu.clone())?;
-            gpu.set_fault_plan(self.config.fault);
-            match bstat_tiled_dcsr_online_obs(
-                &mut gpu,
-                &a.to_csc(),
-                b,
-                self.config.tile_w,
-                self.config.tile_h,
-                obs,
-            ) {
-                Ok(online) => (online.run.stats, model.estimate_online_bstationary(k)),
-                Err(SimError::InjectedFault { site, key, detail }) => {
-                    obs.flight.record(
-                        nmt_obs::EventSite::PlannerFallback,
-                        site.code() as u32,
-                        key,
-                        0,
-                    );
-                    fault = Some(FaultRecord {
-                        retried: site == FaultSite::ConvertStrip,
-                        fell_back: chosen == Choice::BStationary,
-                        site,
-                        key,
-                        detail,
-                    });
-                    let mut fb_gpu = Gpu::new(self.config.gpu.clone())?;
-                    fb_gpu.set_fault_plan(self.config.fault);
-                    let run = dcsrmm_row_per_warp(&mut fb_gpu, &Dcsr::from_csr(a), b)?;
-                    // The degraded side actually ran C-stationary, so
-                    // validate it against the C-stationary prediction.
-                    (run.stats, model.estimate_with_ncols(Dataflow::CStationary, k))
-                }
-                Err(other) => return Err(other),
-            }
+            self.run_candidate(Choice::BStationary, a, b, obs)?
         };
+        // A degraded b-side ran C-stationary, so it is labelled and
+        // validated as such. The fallback only stood in for the chosen
+        // kernel when the heuristic picked B-stationary.
+        let (b_label, b_predicted) = match b_run.algorithm {
+            Algorithm::BStationaryOnline => {
+                ("b-stationary-online", model.estimate_online_bstationary(k))
+            }
+            _ => (
+                "b-stationary-fallback",
+                model.estimate_with_ncols(Dataflow::CStationary, k),
+            ),
+        };
+        let fault = b_run.fault.map(|f| FaultRecord {
+            fell_back: chosen == Choice::BStationary,
+            ..f
+        });
 
         let baseline_ns = baseline.stats.total_ns;
         let cstationary = KernelAudit::new(
@@ -392,26 +406,17 @@ impl SpmmPlanner {
             &c_run.stats,
             &model.estimate_with_ncols(Dataflow::CStationary, k),
         );
-        let bstationary = KernelAudit::new(
-            if fault.is_some() {
-                "b-stationary-fallback"
-            } else {
-                "b-stationary-online"
-            },
-            baseline_ns,
-            &b_stats,
-            &b_predicted,
-        );
+        let bstationary = KernelAudit::new(b_label, baseline_ns, &b_run.stats, &b_predicted);
 
         // Oracle: measured winner; ties prefer C-stationary (no atomics).
-        let oracle = if b_stats.total_ns < c_run.stats.total_ns {
+        let oracle = if b_run.stats.total_ns < c_run.stats.total_ns {
             Choice::BStationary
         } else {
             Choice::CStationary
         };
         let time_of = |c: Choice| match c {
             Choice::CStationary => c_run.stats.total_ns,
-            Choice::BStationary => b_stats.total_ns,
+            Choice::BStationary => b_run.stats.total_ns,
         };
         let mispick = chosen != oracle;
         let mispick_cost = time_of(chosen) / time_of(oracle).max(1e-9);
@@ -437,24 +442,6 @@ impl SpmmPlanner {
         };
         audit.publish(obs);
         Ok(audit)
-    }
-
-    /// Run *both* algorithms and report `(t_cstationary, t_bstationary)` —
-    /// the measurement behind Figure 4's y-axis and threshold learning.
-    pub fn profile_both(&self, a: &Csr, b: &DenseMatrix) -> Result<(f64, f64), SimError> {
-        let dcsr = Dcsr::from_csr(a);
-        let mut g1 = Gpu::new(self.config.gpu.clone())?;
-        let c_run = dcsrmm_row_per_warp(&mut g1, &dcsr, b)?;
-        let mut g2 = Gpu::new(self.config.gpu.clone())?;
-        let online = bstat_tiled_dcsr_online_obs(
-            &mut g2,
-            &a.to_csc(),
-            b,
-            self.config.tile_w,
-            self.config.tile_h,
-            &ObsContext::disabled(),
-        )?;
-        Ok((c_run.stats.total_ns, online.run.stats.total_ns))
     }
 }
 
@@ -718,9 +705,31 @@ mod tests {
             threshold: f64::INFINITY,
             accuracy: 1.0,
         };
-        let clean = SpmmPlanner::new(cfg).execute(&a, &b).unwrap();
+        let clean = SpmmPlanner::new(cfg.clone()).execute(&a, &b).unwrap();
         assert_eq!(clean.algorithm, Algorithm::CStationaryDcsr);
         assert_eq!(faulted.c, clean.c);
+
+        // `explain` audits the same fault through the same policy: when B
+        // is chosen its record equals `execute`'s, and when C is chosen
+        // the b-side fault is still audited but nothing fell back.
+        let plan = Some(FaultPlan::from_rate(1, 1.0));
+        let obs = ObsContext::disabled();
+        let mut forced_b = cfg.clone().with_fault(plan);
+        forced_b.threshold.threshold = -1.0;
+        let audit = SpmmPlanner::new(forced_b)
+            .explain("t", &a, &b, &obs)
+            .unwrap();
+        assert_eq!(audit.fault, faulted.fault);
+        assert_eq!(audit.bstationary.dataflow, "b-stationary-fallback");
+
+        let forced_c = SpmmPlanner::new(cfg.with_fault(plan));
+        let audit = forced_c.explain("t", &a, &b, &obs).unwrap();
+        assert_eq!(audit.chosen, Choice::CStationary);
+        let rec = audit.fault.as_ref().expect("b-side fault audited");
+        assert!(!rec.fell_back);
+        assert_eq!(audit.bstationary.dataflow, "b-stationary-fallback");
+        let executed = forced_c.execute(&a, &b).unwrap();
+        assert!(executed.fault.is_none(), "C-stationary never escalates");
     }
 
     #[test]
@@ -771,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_both_returns_positive_times() {
+    fn run_candidate_runs_each_choice_on_its_own_kernel() {
         let a = generators::generate(&MatrixDesc::new(
             "t",
             96,
@@ -783,7 +792,19 @@ mod tests {
             6,
         ));
         let b = random_dense(96, 16, 7);
-        let (tc, tb) = planner().profile_both(&a, &b).unwrap();
-        assert!(tc > 0.0 && tb > 0.0);
+        let p = planner();
+        let obs = ObsContext::disabled();
+        let c = p.run_candidate(Choice::CStationary, &a, &b, &obs).unwrap();
+        let online = p.run_candidate(Choice::BStationary, &a, &b, &obs).unwrap();
+        assert_eq!(c.algorithm, Algorithm::CStationaryDcsr);
+        assert_eq!(online.algorithm, Algorithm::BStationaryOnline);
+        assert!(c.engine.is_none() && c.fault.is_none());
+        assert_eq!(online.engine.as_ref().unwrap().elements as usize, a.nnz());
+        assert!(online.fault.is_none());
+        assert!(c.stats.total_ns > 0.0 && online.stats.total_ns > 0.0);
+        assert!(
+            c.c.approx_eq(&online.c, 1e-3),
+            "both candidates compute A × B"
+        );
     }
 }

@@ -31,9 +31,9 @@
 //! ```
 
 use spmm_nmt::bench::{
-    append_history, diff_ledgers, load_history, parse_scale, render_history,
-    sweep_ledger_instrumented, BenchConfig, DiffOptions, GateTolerance, HistoryRecord, Ledger,
-    PerfTolerance, ProgressReporter, EXPERIMENT_SEED,
+    append_history, diff_ledgers, load_history, parse_scale, render_history, sweep_ledger,
+    BenchConfig, DiffOptions, GateTolerance, HistoryRecord, Ledger, PerfTolerance,
+    ProgressReporter, EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
@@ -539,7 +539,7 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         ),
         None => eprintln!("sweeping {scale:?} suite through the audited planner..."),
     }
-    let ledger = sweep_ledger_instrumented(scale, fault, perf_cfg.as_ref(), Some(&progress))
+    let ledger = sweep_ledger(scale, fault, perf_cfg.as_ref(), Some(&progress))
         .map_err(|e| e.to_string())?;
     progress.finish();
     println!("{}", ledger.render_summary());
