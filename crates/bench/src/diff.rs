@@ -272,17 +272,10 @@ fn geomean_of(values: &[f64]) -> f64 {
     (sum / values.len() as f64).exp()
 }
 
-/// Compare two schema-v4 ledgers. Errors only on a schema-version
-/// mismatch (the field sets are not comparable); every other identity
+/// Compare two ledgers. Both are of this build's schema version
+/// ([`Ledger::from_json`] refuses any other), so every identity
 /// difference becomes a note in the report.
-pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffReport, String> {
-    if a.schema_version != b.schema_version {
-        return Err(format!(
-            "schema version mismatch: A is v{}, B is v{} — not comparable",
-            a.schema_version, b.schema_version
-        ));
-    }
-
+pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
     let mut identity_notes = Vec::new();
     if a.scale != b.scale {
         identity_notes.push(format!("scale {} vs {}", a.scale, b.scale));
@@ -395,7 +388,7 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffRep
             ),
         };
 
-    Ok(DiffReport {
+    DiffReport {
         identity_notes,
         geomean: GeomeanDiff {
             a: a.summary.geomean_speedup,
@@ -414,7 +407,7 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> Result<DiffRep
         perf_regressions,
         perf_improvements,
         perf_note,
-    })
+    }
 }
 
 /// Compare two perf sections: per-phase aggregates plus CI-significance
@@ -625,7 +618,7 @@ mod tests {
     #[test]
     fn identical_ledgers_diff_clean() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
-        let report = diff_ledgers(&a, &a, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &a, DiffOptions::default());
         assert!(report.identity_notes.is_empty());
         assert!((report.geomean.ratio - 1.0).abs() < 1e-12);
         assert!(report.only_in_a.is_empty() && report.only_in_b.is_empty());
@@ -640,7 +633,7 @@ mod tests {
     fn matrix_contributions_sum_to_geomean_movement() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
         let b = toy_ledger(&[("m0", "c-stationary", 1.0), ("m1", "b-stationary", 3.3)]);
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b, DiffOptions::default());
         let total: f64 = report.matrices.iter().map(|m| m.contribution).sum();
         assert!(
             (total - report.geomean.ratio.ln()).abs() < 1e-12,
@@ -666,19 +659,11 @@ mod tests {
         let mut b = toy_ledger(&[("m0", "c-stationary", 2.0), ("new", "c-stationary", 2.0)]);
         b.seed = 7;
         b.fault_seed = Some(1);
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b, DiffOptions::default());
         assert_eq!(report.only_in_a, vec!["gone".to_string()]);
         assert_eq!(report.only_in_b, vec!["new".to_string()]);
         assert!(report.identity_notes.iter().any(|n| n.contains("seed 1 vs 7")));
         assert!(report.identity_notes.iter().any(|n| n.contains("fault plan")));
-    }
-
-    #[test]
-    fn schema_mismatch_refuses() {
-        let a = toy_ledger(&[("m0", "c-stationary", 2.0)]);
-        let mut b = a.clone();
-        b.schema_version += 1;
-        assert!(diff_ledgers(&a, &b, DiffOptions::default()).is_err());
     }
 
     #[test]
@@ -706,7 +691,7 @@ mod tests {
             kernel.ci_lo_ns *= 1000.0;
             kernel.ci_hi_ns *= 1000.0;
         }
-        let report = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let report = diff_ledgers(&a, &b, DiffOptions::default());
         let flagged: Vec<(String, String)> = report
             .perf_regressions
             .iter()
@@ -723,11 +708,11 @@ mod tests {
         assert!(report.perf_improvements.is_empty());
         assert!(report.has_regressions());
         // Reverse direction: the same deltas read as improvements.
-        let reverse = diff_ledgers(&b, &a, DiffOptions::default()).expect("diffs");
+        let reverse = diff_ledgers(&b, &a, DiffOptions::default());
         assert!(reverse.perf_regressions.is_empty());
         assert_eq!(reverse.perf_improvements.len(), 2);
         // Identical perf flags nothing: a median sits inside its own CI.
-        let same = diff_ledgers(&a, &a, DiffOptions::default()).expect("diffs");
+        let same = diff_ledgers(&a, &a, DiffOptions::default());
         assert!(same.perf_regressions.is_empty());
         assert!(same.perf_improvements.is_empty());
         // Text + JSON both name the doctored pair.
@@ -748,7 +733,7 @@ mod tests {
             // +10%: outside the +-5% CI, inside a 50% margin.
             perf.matrices[0].total_median_ns *= 1.10;
         }
-        let strict = diff_ledgers(&a, &b, DiffOptions::default()).expect("diffs");
+        let strict = diff_ledgers(&a, &b, DiffOptions::default());
         assert_eq!(strict.perf_regressions.len(), 1);
         let loose = diff_ledgers(
             &a,
@@ -757,8 +742,7 @@ mod tests {
                 margin_frac: 0.5,
                 abs_slack_ns: 0.0,
             },
-        )
-        .expect("diffs");
+        );
         assert!(loose.perf_regressions.is_empty());
     }
 }

@@ -1,14 +1,17 @@
-//! Perf-history timeline: `bench --history results/HISTORY.jsonl`
-//! appends one compact record per instrumented run; `nmt-cli history`
-//! renders the timeline and scans every tracked series for change
-//! points.
+//! Run timelines: `bench --history results/HISTORY.jsonl` appends one
+//! [`HistoryRecord`] per instrumented run and `serve --history` one
+//! [`ServeRunRow`] per replay; `nmt-cli history` renders either timeline
+//! and scans every tracked bench series for change points.
 //!
-//! The file is JSONL — one [`HistoryRecord`] per line — so appends are
-//! atomic-enough for CI (a torn final line is skipped on load, not
-//! fatal) and the history diffs cleanly in git. Records carry no
-//! wall-clock timestamps: ordering is the append ordinal plus whatever
-//! commit id the caller passes (CI pins `GITHUB_SHA`), which keeps the
-//! artifact deterministic for a fixed sequence of runs.
+//! Both files are JSONL — one row per line — written by the one
+//! [`append_history`] and read by the one [`load_history`], generic over
+//! the row type. Appends are atomic-enough for CI: a torn final line is
+//! skipped on load, not fatal, and the next append starts on a fresh
+//! line so it is not glued onto the torn one. The history diffs cleanly
+//! in git. Rows carry no wall-clock timestamps: ordering is the append
+//! ordinal plus whatever commit id the caller passes (CI pins
+//! `GITHUB_SHA`), which keeps the artifact deterministic for a fixed
+//! sequence of runs.
 //!
 //! The change-point scan is a classic least-squares two-segment split:
 //! for each series (geomean speedup, per-phase aggregate medians) it
@@ -19,6 +22,7 @@
 //! moved here", not a significance test.
 
 use crate::ledger::Ledger;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -66,15 +70,14 @@ impl HistoryRecord {
         if let Some(perf) = &ledger.perf {
             for m in &perf.matrices {
                 for p in &m.phases {
-                    let entry =
-                        phases
-                            .entry(p.phase.clone())
-                            .or_insert_with(|| PhaseMedian {
-                                phase: p.phase.clone(),
-                                median_ns: 0.0,
-                                ci_lo_ns: 0.0,
-                                ci_hi_ns: 0.0,
-                            });
+                    let entry = phases
+                        .entry(p.phase.clone())
+                        .or_insert_with(|| PhaseMedian {
+                            phase: p.phase.clone(),
+                            median_ns: 0.0,
+                            ci_lo_ns: 0.0,
+                            ci_hi_ns: 0.0,
+                        });
                     entry.median_ns += p.median_ns;
                     entry.ci_lo_ns += p.ci_lo_ns;
                     entry.ci_hi_ns += p.ci_hi_ns;
@@ -93,42 +96,118 @@ impl HistoryRecord {
     }
 }
 
-/// Append one record to the JSONL history at `path`, creating the file
-/// (and parent directory) if needed. Returns the assigned run ordinal.
-pub fn append_history(path: &Path, mut record: HistoryRecord) -> Result<u64, String> {
+/// One `nmt-cli serve` replay's row in the serve history file: the
+/// small cross-run summary CI appends so cache behaviour (hit ratio,
+/// hit-vs-miss latency gap, rejection pressure) can be tracked over time.
+/// The fields are plain numbers the CLI copies out of the serve ledger,
+/// so this crate does not depend on the serve crate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ServeRunRow {
+    /// Append ordinal within the file (0-based; assigned by
+    /// [`append_history`]).
+    pub run: u64,
+    /// Commit id the run was built from (`unknown` outside CI).
+    pub commit: String,
+    /// Requests in the replayed trace.
+    pub requests: u64,
+    /// Requests admitted and served.
+    pub admitted: u64,
+    /// Queue-full + malformed rejections.
+    pub rejected: u64,
+    /// Distinct plans computed (cold responses).
+    pub unique_plans: u64,
+    /// Responses served from a cached plan (canonical labelling).
+    pub cached_responses: u64,
+    /// Observed single-flight cache hits (0 without `--stats`).
+    pub cache_hits: u64,
+    /// Observed cache evictions (0 without `--stats`).
+    pub cache_evictions: u64,
+    /// Hit-path median plan-acquisition latency, ns (0 without `--stats`).
+    pub hit_p50_ns: u64,
+    /// Miss-path median plan-acquisition latency, ns (0 without `--stats`).
+    pub miss_p50_ns: u64,
+}
+
+impl ServeRunRow {
+    /// Fraction of served responses answered from cache.
+    pub fn cached_frac(&self) -> f64 {
+        if self.admitted == 0 {
+            0.0
+        } else {
+            self.cached_responses as f64 / self.admitted as f64
+        }
+    }
+}
+
+/// A row of a JSONL timeline: the append ordinal is its `run` field.
+pub trait HistoryRow: Serialize + DeserializeOwned {
+    /// Store the ordinal [`append_history`] assigned.
+    fn set_run(&mut self, run: u64);
+}
+
+impl HistoryRow for HistoryRecord {
+    fn set_run(&mut self, run: u64) {
+        self.run = run;
+    }
+}
+
+impl HistoryRow for ServeRunRow {
+    fn set_run(&mut self, run: u64) {
+        self.run = run;
+    }
+}
+
+/// Append one row to the JSONL timeline at `path`, creating the file
+/// (and parent directory) if needed. The row's ordinal is the count of
+/// rows of its type already in the file, and is returned. A torn last
+/// line (a writer that died mid-row) has no trailing newline, so the new
+/// row starts on a fresh line instead of being glued onto it.
+pub fn append_history<R: HistoryRow>(path: &Path, mut row: R) -> Result<u64, String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("create {}: {e}", parent.display()))?;
         }
     }
-    let existing = load_history(path).unwrap_or_default();
-    record.run = existing.len() as u64;
-    let line =
-        serde_json::to_string(&record).map_err(|e| format!("serialize history record: {e:?}"))?;
+    let text = read_timeline(path)?;
+    let run = parse_rows::<R>(&text).len() as u64;
+    row.set_run(run);
+    let line = serde_json::to_string(&row).map_err(|e| format!("serialize history row: {e:?}"))?;
+    let fresh_line = if text.is_empty() || text.ends_with('\n') {
+        ""
+    } else {
+        "\n"
+    };
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| format!("open {}: {e}", path.display()))?;
-    writeln!(file, "{line}").map_err(|e| format!("append {}: {e}", path.display()))?;
-    Ok(record.run)
+    writeln!(file, "{fresh_line}{line}").map_err(|e| format!("append {}: {e}", path.display()))?;
+    Ok(run)
 }
 
-/// Load every parseable record from the JSONL history. Blank and torn
-/// lines are skipped (a crashed writer must not poison the timeline);
-/// a missing file is an empty history.
-pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    Ok(text
-        .lines()
+/// Load every parseable row from the JSONL timeline. Blank and torn
+/// lines (and rows of another type) are skipped, since a crashed writer
+/// must not poison the timeline; a missing file is an empty timeline.
+pub fn load_history<R: DeserializeOwned>(path: &Path) -> Result<Vec<R>, String> {
+    Ok(parse_rows(&read_timeline(path)?))
+}
+
+/// The timeline's text; empty when the file does not exist yet.
+fn read_timeline(path: &Path) -> Result<String, String> {
+    match std::fs::read_to_string(path) {
+        Ok(t) => Ok(t),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
+        Err(e) => Err(format!("read {}: {e}", path.display())),
+    }
+}
+
+fn parse_rows<R: DeserializeOwned>(text: &str) -> Vec<R> {
+    text.lines()
         .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<HistoryRecord>(l).ok())
-        .collect())
+        .filter_map(|l| serde_json::from_str::<R>(l).ok())
+        .collect()
 }
 
 /// A detected level shift in one tracked series.
@@ -266,6 +345,30 @@ pub fn render_history(records: &[HistoryRecord]) -> String {
     out
 }
 
+/// Render the serve timeline as a table, for `nmt-cli history`.
+pub fn render_serve_history(rows: &[ServeRunRow]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("serve history: {} run(s)\n", rows.len()));
+    out.push_str("  run  commit    reqs  served  rej  cold  cached  hit%   hit p50     miss p50\n");
+    for r in rows {
+        let commit_short: String = r.commit.chars().take(8).collect();
+        out.push_str(&format!(
+            "  {:>3}  {:<8}  {:>4}  {:>6}  {:>3}  {:>4}  {:>6}  {:>4.0}%  {:>8} ns  {:>8} ns\n",
+            r.run,
+            commit_short,
+            r.requests,
+            r.admitted,
+            r.rejected,
+            r.unique_plans,
+            r.cached_responses,
+            r.cached_frac() * 100.0,
+            r.hit_p50_ns,
+            r.miss_p50_ns,
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,31 +390,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn append_assigns_ordinals_and_load_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("nmt-hist-{}", std::process::id()));
-        let path = dir.join("HISTORY.jsonl");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(load_history(&path).expect("missing file is empty"), vec![]);
-        for i in 0..3u64 {
-            let run =
-                append_history(&path, record(2.0 + i as f64 * 0.01, 1000.0)).expect("appends");
-            assert_eq!(run, i);
+    fn serve_row(requests: u64) -> ServeRunRow {
+        ServeRunRow {
+            run: 0,
+            commit: "abc123def".into(),
+            requests,
+            admitted: requests.saturating_sub(2),
+            rejected: 2.min(requests),
+            unique_plans: 3,
+            cached_responses: requests.saturating_sub(5),
+            cache_hits: requests.saturating_sub(5),
+            cache_evictions: 0,
+            hit_p50_ns: 1_000,
+            miss_p50_ns: 50_000,
         }
-        let loaded = load_history(&path).expect("loads");
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded[2].run, 2);
-        assert!((loaded[1].geomean_speedup - 2.01).abs() < 1e-12);
-        // A torn trailing line is skipped, not fatal.
+    }
+
+    /// A fresh timeline path under the temp dir, removed first.
+    fn timeline(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("nmt-hist-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (dir.join("nested").join("HISTORY.jsonl"), dir)
+    }
+
+    /// The shared contract, once per row type: a missing file is empty,
+    /// appends create the parents and number rows 0, 1, 2, and the rows
+    /// load back equal. Then a torn last line is skipped on load, and a
+    /// row appended after it starts on a fresh line and is kept.
+    fn check_timeline<R: HistoryRow + Clone + PartialEq + std::fmt::Debug>(
+        name: &str,
+        rows: [R; 4],
+    ) {
+        let (path, dir) = timeline(name);
+        assert!(load_history::<R>(&path)
+            .expect("missing file is empty")
+            .is_empty());
+        let mut expected = Vec::new();
+        for (i, row) in rows[..3].iter().enumerate() {
+            assert_eq!(
+                append_history(&path, row.clone()).expect("appends"),
+                i as u64
+            );
+            let mut stamped = row.clone();
+            stamped.set_run(i as u64);
+            expected.push(stamped);
+        }
+        assert_eq!(load_history::<R>(&path).expect("loads"), expected);
+
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .expect("opens");
-        writeln!(file, "{{\"run\": 99, \"commit").expect("writes");
+        write!(file, "{{\"run\": 3, \"commit").expect("writes");
         drop(file);
-        assert_eq!(load_history(&path).expect("still loads").len(), 3);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+        assert_eq!(load_history::<R>(&path).expect("still loads"), expected);
+
+        assert_eq!(append_history(&path, rows[3].clone()).expect("appends"), 3);
+        let mut last = rows[3].clone();
+        last.set_run(3);
+        expected.push(last);
+        assert_eq!(
+            load_history::<R>(&path).expect("loads"),
+            expected,
+            "the row appended after a torn line must not be lost"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bench_timeline_round_trips_and_survives_a_torn_line() {
+        check_timeline(
+            "bench",
+            [0, 1, 2, 3].map(|i| record(2.0 + f64::from(i) * 0.01, 1000.0)),
+        );
+    }
+
+    #[test]
+    fn serve_timeline_round_trips_and_survives_a_torn_line() {
+        check_timeline("serve", [48, 96, 10, 7].map(serve_row));
+    }
+
+    #[test]
+    fn render_serve_history_shows_hit_ratio() {
+        let text = render_serve_history(&[serve_row(48)]);
+        assert!(text.contains("1 run(s)"));
+        assert!(text.contains("abc123de"));
+        assert!(text.contains("%"));
     }
 
     #[test]

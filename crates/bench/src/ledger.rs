@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Version of the `BENCH_*.json` schema. Bump on any change to the field
-/// set or semantics; the gate refuses to compare across versions.
+/// set or semantics; [`Ledger::from_json`] refuses any other version.
 ///
 /// v2: added `errors` — per-matrix error rows, so one malformed matrix is
 /// reported instead of aborting the whole sweep.
@@ -459,9 +459,10 @@ impl Ledger {
         serde_json::to_string_pretty(self).expect("ledger serializes")
     }
 
-    /// Parse a ledger back from JSON.
+    /// Parse a ledger back from JSON, refusing any schema version other
+    /// than [`LEDGER_SCHEMA_VERSION`].
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| format!("malformed ledger: {e:?}"))
+        nmt::parse_versioned(json, "ledger", LEDGER_SCHEMA_VERSION)
     }
 
     /// Compact one-line summary for logs.
@@ -495,21 +496,14 @@ impl Ledger {
     ///
     /// Returns `Ok(notes)` when the run is no worse than the baseline
     /// within `tol`, `Err(regressions)` otherwise. Checks, in order:
-    /// schema version and suite identity (scale/seed/k/tile/row count)
-    /// must match exactly — a mismatch means the baseline must be
-    /// consciously refreshed, not silently accepted — then geomean
-    /// speedup may not drop more than `tol.speedup_frac` relatively and
-    /// SSF accuracy not more than `tol.accuracy_abs` absolutely.
+    /// suite identity (scale/seed/k/tile/row count) must match exactly —
+    /// a mismatch means the baseline must be consciously refreshed, not
+    /// silently accepted — then geomean speedup may not drop more than
+    /// `tol.speedup_frac` relatively and SSF accuracy not more than
+    /// `tol.accuracy_abs` absolutely.
     pub fn gate(&self, baseline: &Ledger, tol: GateTolerance) -> Result<Vec<String>, Vec<String>> {
         let mut regressions = Vec::new();
         let mut notes = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            regressions.push(format!(
-                "schema version changed: baseline v{} vs run v{} — refresh the baseline",
-                baseline.schema_version, self.schema_version
-            ));
-            return Err(regressions);
-        }
         for (what, run, base) in [
             ("scale", self.scale.clone(), baseline.scale.clone()),
             ("seed", self.seed.to_string(), baseline.seed.to_string()),
@@ -604,12 +598,6 @@ impl Ledger {
     ) -> Result<Vec<String>, Vec<String>> {
         let mut regressions = Vec::new();
         let mut notes = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            return Err(vec![format!(
-                "schema version changed: baseline v{} vs run v{} — refresh the baseline",
-                baseline.schema_version, self.schema_version
-            )]);
-        }
         let (run, base) = match (&self.perf, &baseline.perf) {
             (Some(r), Some(b)) => (r, b),
             (r, b) => {
@@ -1056,15 +1044,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_rejects_schema_and_identity_mismatch() {
-        let ledger = quick_ledger(9);
-        let mut other_schema = ledger.clone();
-        other_schema.schema_version += 1;
-        let errs = other_schema
-            .gate(&ledger, GateTolerance::default())
-            .expect_err("schema mismatch");
-        assert!(errs[0].contains("schema version"));
+    fn from_json_refuses_another_schema_version() {
+        let mut ledger = quick_ledger(9);
+        ledger.schema_version += 1;
+        let err = Ledger::from_json(&ledger.to_json()).expect_err("schema mismatch");
+        assert!(err.contains("schema version"), "{err}");
+        assert!(err.contains("refresh the baseline"), "{err}");
+    }
 
+    #[test]
+    fn gate_rejects_identity_mismatch() {
+        let ledger = quick_ledger(9);
         let mut other_suite = ledger.clone();
         other_suite.seed ^= 1;
         other_suite.rows.pop();

@@ -11,12 +11,12 @@ pub mod harness;
 pub mod history;
 pub mod ledger;
 pub mod progress;
-pub mod serve_rows;
 
 pub use diff::{diff_ledgers, DiffOptions, DiffReport};
 pub use harness::{median, summarize, BenchConfig, BenchStats};
 pub use history::{
-    append_history, change_point, load_history, render_history, scan_history, HistoryRecord,
+    append_history, change_point, load_history, render_history, render_serve_history,
+    scan_history, HistoryRecord, HistoryRow, ServeRunRow,
 };
 pub use ledger::{
     ledger_filename, scale_label, sweep_ledger, CorpusSummary, ErrorRow, GateTolerance,
@@ -24,9 +24,6 @@ pub use ledger::{
     PhasePerf, LEDGER_SCHEMA_VERSION,
 };
 pub use progress::ProgressReporter;
-pub use serve_rows::{
-    append_serve_history, load_serve_history, render_serve_history, ServeRunRow,
-};
 
 /// The seed shared by every experiment so figures are reproducible.
 pub const EXPERIMENT_SEED: u64 = 0x5C19;

@@ -3,27 +3,27 @@
 //! A serve-layer plan cache must key on *what the planner saw*, not on a
 //! caller-supplied name: two tenants submitting the same matrix under
 //! different names must share one cached plan, and a matrix that changed
-//! by a single entry must never hit a stale one. The fingerprint
-//! therefore combines
+//! by a single entry must never hit a stale one. The fingerprint is
+//! therefore raw content only:
 //!
 //! * the **structural identity** — shape, nnz, and the strip/tile width
 //!   the planner profiles under (the same plan is *not* reusable across
 //!   tile widths: SSF inputs change),
-//! * the **decision inputs** — every [`SsfProfile`] field plus the
-//!   Figure-5 strip-occupancy histogram, i.e. exactly the quantities a
-//!   [`DecisionAudit`](crate::DecisionAudit) records for the decision,
 //! * a **raw-content digest** — FNV-1a over the CSR arrays (`rowptr`,
-//!   `colidx`, value bits), which catches mutations the derived inputs
-//!   can miss (a value edit leaves nnz and the histogram untouched).
+//!   `colidx`, value bits), which catches any mutation, including a
+//!   value edit that leaves nnz and the strip occupancy untouched.
 //!
-//! Everything hashed is either an integer or the IEEE bit pattern of a
-//! deterministic float, so the fingerprint is bitwise-reproducible
-//! across runs, thread counts, and platforms.
+//! The planner's decision inputs (the [`SsfProfile`](nmt_model::SsfProfile)
+//! and the Figure-5 strip histogram) are pure functions of those arrays
+//! and the tile width, so they are not hashed: they would add no key
+//! entropy, and computing them per request would repeat the planning a
+//! cache hit exists to skip.
+//!
+//! Everything hashed is an integer or the IEEE bit pattern of a value,
+//! so the fingerprint is bitwise-reproducible across runs, thread
+//! counts, and platforms.
 
-use nmt_formats::{Csr, Index, SparseMatrix, StripStats, Value};
-use nmt_model::SsfProfile;
-
-use crate::DecisionAudit;
+use nmt_formats::{Csr, Index, SparseMatrix, Value};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -62,36 +62,28 @@ pub struct MatrixFingerprint {
     pub nnz: usize,
     /// Strip/tile width the profile (and any cached conversion) used.
     pub tile_w: usize,
-    /// FNV-1a digest over the raw arrays and the decision inputs.
+    /// FNV-1a digest over the structural identity and the raw arrays.
     pub digest: u64,
 }
 
 impl MatrixFingerprint {
     /// Fingerprint a matrix as the planner would see it under `tile_w`
-    /// strips: profiles it ([`SsfProfile::compute`]), bins the strip
-    /// occupancy histogram ([`StripStats::figure5_histogram`]), and
-    /// digests both together with the raw CSR arrays.
+    /// strips: [`of_parts`](Self::of_parts) on its validated CSR arrays.
     pub fn of(a: &Csr, tile_w: usize) -> Self {
         let shape = a.shape();
-        let profile = SsfProfile::compute(a, tile_w);
-        let hist = StripStats::compute(a, tile_w).figure5_histogram();
-        let mut h = content_digest(shape.nrows, shape.ncols, tile_w, a.rowptr(), a.colidx(), a.values());
-        digest_profile(&mut h, &profile, &hist);
-        MatrixFingerprint {
-            nrows: shape.nrows,
-            ncols: shape.ncols,
-            nnz: a.nnz(),
+        Self::of_parts(
+            shape.nrows,
+            shape.ncols,
             tile_w,
-            digest: h.0,
-        }
+            a.rowptr(),
+            a.colidx(),
+            a.values(),
+        )
     }
 
-    /// Fingerprint raw CSR arrays *without validating them* — the
-    /// negative-test path: corruption helpers produce arrays a validating
-    /// constructor rejects, and sensitivity tests must still show the
-    /// digest moves. No derived inputs are mixed in (they are undefined
-    /// for invalid arrays); the raw-content digest alone must separate
-    /// any mutation.
+    /// Fingerprint raw CSR arrays. They need not be valid: corruption
+    /// helpers produce arrays a validating constructor rejects, and
+    /// sensitivity tests must still show the digest moves.
     pub fn of_parts(
         nrows: usize,
         ncols: usize,
@@ -100,7 +92,24 @@ impl MatrixFingerprint {
         colidx: &[Index],
         values: &[Value],
     ) -> Self {
-        let h = content_digest(nrows, ncols, tile_w, rowptr, colidx, values);
+        let mut h = Fnv::new();
+        h.write_u64(nrows as u64);
+        h.write_u64(ncols as u64);
+        h.write_u64(tile_w as u64);
+        // Array lengths are hashed explicitly so concatenation boundaries
+        // cannot alias (e.g. an entry migrating between rowptr and colidx).
+        h.write_u64(rowptr.len() as u64);
+        for &p in rowptr {
+            h.write_u64(u64::from(p));
+        }
+        h.write_u64(colidx.len() as u64);
+        for &c in colidx {
+            h.write_u64(u64::from(c));
+        }
+        h.write_u64(values.len() as u64);
+        for &v in values {
+            h.write_u64(u64::from(v.to_bits()));
+        }
         MatrixFingerprint {
             nrows,
             ncols,
@@ -116,60 +125,6 @@ impl MatrixFingerprint {
             "fp-{}x{}-nnz{}-w{}-{:016x}",
             self.nrows, self.ncols, self.nnz, self.tile_w, self.digest
         )
-    }
-
-    /// Whether this fingerprint was taken from the same decision inputs
-    /// a [`DecisionAudit`] records: shape, nnz, tile width, and the SSF
-    /// profile must all agree bit-for-bit. Used to cross-check that a
-    /// cached plan's key really derives from what the audit would have
-    /// computed for the request's matrix.
-    pub fn matches_audit(&self, audit: &DecisionAudit) -> bool {
-        self.nrows == audit.nrows
-            && self.ncols == audit.ncols
-            && self.nnz == audit.nnz
-            && self.tile_w == audit.tile
-    }
-}
-
-/// Digest the structural identity and raw arrays.
-fn content_digest(
-    nrows: usize,
-    ncols: usize,
-    tile_w: usize,
-    rowptr: &[Index],
-    colidx: &[Index],
-    values: &[Value],
-) -> Fnv {
-    let mut h = Fnv::new();
-    h.write_u64(nrows as u64);
-    h.write_u64(ncols as u64);
-    h.write_u64(tile_w as u64);
-    // Array lengths are hashed explicitly so concatenation boundaries
-    // cannot alias (e.g. an entry migrating between rowptr and colidx).
-    h.write_u64(rowptr.len() as u64);
-    for &p in rowptr {
-        h.write_u64(u64::from(p));
-    }
-    h.write_u64(colidx.len() as u64);
-    for &c in colidx {
-        h.write_u64(u64::from(c));
-    }
-    h.write_u64(values.len() as u64);
-    for &v in values {
-        h.write_u64(u64::from(v.to_bits()));
-    }
-    h
-}
-
-/// Mix the decision inputs (SSF profile + Figure-5 histogram) into `h`.
-fn digest_profile(h: &mut Fnv, profile: &SsfProfile, hist: &[usize; 13]) {
-    h.write_u64(profile.nnzrow_frac.to_bits());
-    h.write_u64(profile.mean_strip_frac.to_bits());
-    h.write_u64(profile.nnz.to_bits());
-    h.write_u64(profile.h_norm.to_bits());
-    h.write_u64(profile.ssf.to_bits());
-    for &bin in hist {
-        h.write_u64(bin as u64);
     }
 }
 
@@ -221,9 +176,9 @@ mod tests {
         )
         .unwrap();
         let b = Csr::from_coo(&coo);
-        // Shape, nnz, and the whole SSF profile are identical…
+        // Shape, nnz, and the whole SSF profile are identical, so only the
+        // value bits tell them apart.
         assert_eq!(a.nnz(), b.nnz());
-        // …so only the raw-content digest can tell them apart.
         assert_ne!(
             MatrixFingerprint::of(&a, 4).digest,
             MatrixFingerprint::of(&b, 4).digest

@@ -35,4 +35,4 @@ pub use multi_gpu::{LargeSpmmProblem, MultiGpuConfig, MultiGpuReport};
 pub use planner::{
     Algorithm, CandidateRun, PlanReport, PlannerConfig, SpmmPlanner, DEFAULT_SSF_THRESHOLD,
 };
-pub use report::{RunRecord, SuiteReport};
+pub use report::{parse_versioned, RunRecord};

@@ -19,8 +19,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Bump when any serialized field changes meaning; the gate refuses to
-/// compare ledgers across versions.
+/// Bump when any serialized field changes meaning;
+/// [`ServeLedger::from_json`] refuses any other version.
 pub const SERVE_SCHEMA_VERSION: u32 = 1;
 
 /// The broker knobs a ledger was produced under. Thread count is
@@ -163,17 +163,10 @@ impl ServeLedger {
         s
     }
 
-    /// Parse a ledger back, refusing other schema versions.
+    /// Parse a ledger back, refusing any schema version other than
+    /// [`SERVE_SCHEMA_VERSION`].
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let ledger: ServeLedger =
-            serde_json::from_str(json).map_err(|e| format!("serve ledger parse: {e:?}"))?;
-        if ledger.schema_version != SERVE_SCHEMA_VERSION {
-            return Err(format!(
-                "serve ledger schema v{} (this binary reads v{})",
-                ledger.schema_version, SERVE_SCHEMA_VERSION
-            ));
-        }
-        Ok(ledger)
+        nmt::parse_versioned(json, "serve ledger", SERVE_SCHEMA_VERSION)
     }
 
     /// The byte-compared form: stats stripped, so two replays of the same
@@ -190,13 +183,6 @@ impl ServeLedger {
     /// tolerance: replay determinism admits no drift.
     pub fn gate(&self, baseline: &ServeLedger) -> Result<(), Vec<String>> {
         let mut diffs = Vec::new();
-        if self.schema_version != baseline.schema_version {
-            diffs.push(format!(
-                "schema version {} vs baseline {}",
-                self.schema_version, baseline.schema_version
-            ));
-            return Err(diffs);
-        }
         if self.config != baseline.config {
             diffs.push(format!(
                 "config mismatch: {:?} vs baseline {:?}",
@@ -385,7 +371,8 @@ mod tests {
         let mut ledger = sample();
         ledger.schema_version += 1;
         let err = ServeLedger::from_json(&ledger.to_json()).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        assert!(err.contains("schema version"), "{err}");
+        assert!(err.contains("refresh the baseline"), "{err}");
     }
 
     #[test]

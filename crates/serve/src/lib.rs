@@ -20,10 +20,10 @@
 //!   thread count; schedule-dependent measurements live in an optional
 //!   stats section the gate ignores.
 //!
-//! The cache key is [`nmt::MatrixFingerprint`]: shape, nnz, tile width,
-//! the SSF decision inputs, and an FNV digest of the raw CSR arrays —
-//! derived from exactly what a `DecisionAudit` records, so a cached plan
-//! is reused only when the planner would have decided identically.
+//! The cache key is [`nmt::MatrixFingerprint`], raw content only: shape,
+//! nnz, tile width, and an FNV digest of the raw CSR arrays. The SSF
+//! decision inputs are pure functions of those, so equal keys mean the
+//! planner would decide identically, and a hit skips the profiling.
 
 pub mod broker;
 pub mod cache;

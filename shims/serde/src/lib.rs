@@ -9,6 +9,12 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+/// `serde::de`: the shim's values are owned, so every [`Deserialize`]
+/// type is `DeserializeOwned` (the bound generic loaders name).
+pub mod de {
+    pub use crate::Deserialize as DeserializeOwned;
+}
+
 use std::collections::BTreeMap;
 
 /// An owned JSON-like value.

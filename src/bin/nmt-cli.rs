@@ -31,9 +31,9 @@
 //! ```
 
 use spmm_nmt::bench::{
-    append_history, diff_ledgers, load_history, parse_scale, render_history, sweep_ledger,
-    BenchConfig, DiffOptions, GateTolerance, HistoryRecord, Ledger, PerfTolerance,
-    ProgressReporter, EXPERIMENT_SEED,
+    append_history, diff_ledgers, load_history, parse_scale, render_history, render_serve_history,
+    sweep_ledger, BenchConfig, DiffOptions, GateTolerance, HistoryRecord, HistoryRow, Ledger,
+    PerfTolerance, ProgressReporter, ServeRunRow, EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
@@ -548,17 +548,9 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write ledger to {path}: {e}"))?;
         eprintln!("wrote run ledger to {path}");
     }
-    if let Some(hist) = flag(rest, "--history") {
-        // Commit id comes from the environment (CI pins GITHUB_SHA), not
-        // from running git — the ledger stack takes no wall-clock or VCS
-        // dependencies.
-        let commit = std::env::var("NMT_COMMIT")
-            .or_else(|_| std::env::var("GITHUB_SHA"))
-            .unwrap_or_else(|_| "unknown".to_string());
-        let record = HistoryRecord::from_ledger(&ledger, &commit);
-        let run = append_history(std::path::Path::new(&hist), record)?;
-        eprintln!("history: appended run {run} to {hist}");
-    }
+    append_run_history(rest, "history", |commit| {
+        HistoryRecord::from_ledger(&ledger, &commit)
+    })?;
     if let Some(path) = &baseline_path {
         let json = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
@@ -609,7 +601,6 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
 /// broker (single-flight plan cache + admission control) and emit the
 /// deterministic response ledger.
 fn cmd_serve(rest: &[&String]) -> Result<(), String> {
-    use spmm_nmt::bench::{append_serve_history, ServeRunRow};
     use spmm_nmt::serve::{
         parse_jsonl, serve_trace, synth_trace, to_jsonl, BrokerConfig, ServeLedger, SynthSpec,
     };
@@ -680,13 +671,10 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write serve ledger to {path}: {e}"))?;
         eprintln!("wrote serve ledger to {path}");
     }
-    if let Some(hist) = flag(rest, "--history") {
-        let commit = std::env::var("NMT_COMMIT")
-            .or_else(|_| std::env::var("GITHUB_SHA"))
-            .unwrap_or_else(|_| "unknown".to_string());
+    append_run_history(rest, "serve history", |commit| {
         let c = &ledger.counts;
         let s = ledger.stats.as_ref();
-        let row = ServeRunRow {
+        ServeRunRow {
             run: 0,
             commit,
             requests: c.requests,
@@ -698,10 +686,8 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             cache_evictions: s.map_or(0, |s| s.cache_evictions),
             hit_p50_ns: s.map_or(0, |s| s.hit_p50_ns),
             miss_p50_ns: s.map_or(0, |s| s.miss_p50_ns),
-        };
-        let run = append_serve_history(std::path::Path::new(&hist), row)?;
-        eprintln!("serve history: appended run {run} to {hist}");
-    }
+        }
+    })?;
     if let Some(path) = flag(rest, "--baseline") {
         let json = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
@@ -717,6 +703,26 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
             }
         }
     }
+    Ok(())
+}
+
+/// With `--history <path>`, append the row `row(commit)` builds to that
+/// JSONL timeline. The commit id comes from the environment (`NMT_COMMIT`,
+/// else `GITHUB_SHA`, which CI pins), not from running git — the ledger
+/// stack takes no wall-clock or VCS dependencies.
+fn append_run_history<R: HistoryRow>(
+    rest: &[&String],
+    label: &str,
+    row: impl FnOnce(String) -> R,
+) -> Result<(), String> {
+    let Some(hist) = flag(rest, "--history") else {
+        return Ok(());
+    };
+    let commit = std::env::var("NMT_COMMIT")
+        .or_else(|_| std::env::var("GITHUB_SHA"))
+        .unwrap_or_else(|_| "unknown".to_string());
+    let run = append_history(std::path::Path::new(&hist), row(commit))?;
+    eprintln!("{label}: appended run {run} to {hist}");
     Ok(())
 }
 
@@ -760,7 +766,7 @@ fn cmd_diff(rest: &[&String]) -> Result<(), String> {
         margin_frac: parse_flag(rest, "--diff-margin", 0.0)?,
         abs_slack_ns: parse_flag(rest, "--diff-slack-ns", 0.0)?,
     };
-    let report = diff_ledgers(&a, &b, opts)?;
+    let report = diff_ledgers(&a, &b, opts);
     if rest.iter().any(|x| x.as_str() == "--json") {
         println!("{}", report.to_json());
     } else {
@@ -773,14 +779,14 @@ fn cmd_diff(rest: &[&String]) -> Result<(), String> {
 /// `nmt-cli history <HISTORY.jsonl>`: render the perf timeline and its
 /// change points.
 fn cmd_history(rest: &[&String]) -> Result<(), String> {
-    use spmm_nmt::bench::{load_serve_history, render_serve_history};
     let args = positionals(rest, &[]);
     let path = args.first().ok_or("missing <HISTORY.jsonl> argument")?;
-    let records = load_history(std::path::Path::new(path.as_str()))?;
+    let path = std::path::Path::new(path.as_str());
+    let records: Vec<HistoryRecord> = load_history(path)?;
     if records.is_empty() {
         // Not a perf timeline — it may be a serve replay history
         // (`serve --history`), whose rows the perf loader skips.
-        let serve = load_serve_history(std::path::Path::new(path.as_str()))?;
+        let serve: Vec<ServeRunRow> = load_history(path)?;
         if !serve.is_empty() {
             print!("{}", render_serve_history(&serve));
             return Ok(());
