@@ -9,7 +9,7 @@
 use nmt_bench::{
     banner, build_suite, experiment_scale, experiment_tile, mean, par_map_suite, print_table,
 };
-use nmt_engine::{imbalance, partition_loads, Layout, SwitchCost};
+use nmt_engine::{convert_matrix_farm, imbalance, FarmConfig, Layout, SwitchCost};
 use nmt_formats::TiledDcsr;
 
 fn main() {
@@ -21,26 +21,20 @@ fn main() {
     let tile = experiment_tile(experiment_scale());
     let partitions = 64; // GV100 pseudo-channels
 
-    // (a) layout imbalance over the suite.
+    // (a) layout imbalance over the suite: the bytes each partition's
+    // engine serves when the farm converts the matrix under each layout.
     let imb = par_map_suite(&suite, |desc, a| {
-        let tiled = TiledDcsr::from_csr(a, tile, tile).expect("tiling");
-        let tile_bytes: Vec<Vec<u64>> = tiled
-            .strips()
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .map(|t| (t.metadata_bytes() + t.data_bytes()) as u64)
-                    .collect()
-            })
-            .collect();
-        let naive = imbalance(
-            &partition_loads(Layout::StripPerPartition, &tile_bytes, partitions)
-                .expect("positive partition count"),
-        );
-        let rot = imbalance(
-            &partition_loads(Layout::TileRotated, &tile_bytes, partitions)
-                .expect("positive partition count"),
-        );
+        let csc = a.to_csc();
+        let layout_imbalance = |layout| {
+            let config = FarmConfig {
+                layout,
+                ..FarmConfig::for_partitions(partitions)
+            };
+            let farm = convert_matrix_farm(&csc, tile, tile, config).expect("valid farm config");
+            imbalance(&farm.partition_loads())
+        };
+        let naive = layout_imbalance(Layout::StripPerPartition);
+        let rot = layout_imbalance(Layout::TileRotated);
         (desc.name.clone(), naive, rot)
     });
     let rows: Vec<Vec<String>> = imb

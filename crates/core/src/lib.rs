@@ -13,22 +13,18 @@
 //! * [`audit`] — the decision audit behind `nmt-cli audit`: SSF inputs,
 //!   chosen-vs-oracle dataflow, mispick cost, and Table-1
 //!   model-vs-measured traffic validation per matrix.
-//! * [`api`] — the `GetDCSRTile` request queue of Figure 11: per-FB-
-//!   partition FIFOs feeding the conversion units.
 //! * [`fingerprint`] — content fingerprints over the audit's decision
 //!   inputs: the serve-layer plan-cache key.
 //! * [`multi_gpu`] — the §6.2 large-scale streaming model.
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod audit;
 pub mod fingerprint;
 pub mod multi_gpu;
 pub mod planner;
 pub mod report;
 
-pub use api::{ConversionQueue, GetDcsrTileRequest, TimedTileResponse};
 pub use audit::{DecisionAudit, KernelAudit, TrafficValidation};
 pub use fingerprint::MatrixFingerprint;
 pub use multi_gpu::{LargeSpmmProblem, MultiGpuConfig, MultiGpuReport};

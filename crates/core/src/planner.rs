@@ -445,20 +445,6 @@ impl SpmmPlanner {
     }
 }
 
-/// Convenience: run the full planner once with the paper configuration.
-pub fn auto_spmm(a: &Csr, b: &DenseMatrix) -> Result<PlanReport, SimError> {
-    if a.shape().ncols != b.nrows() {
-        return Err(SimError::ShapeMismatch {
-            detail: format!(
-                "inner dimensions must agree: A has {} cols, B has {} rows",
-                a.shape().ncols,
-                b.nrows()
-            ),
-        });
-    }
-    SpmmPlanner::new(PlannerConfig::paper_default()).execute(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,6 +622,25 @@ mod tests {
         assert!((audit1.oracle_audit().time_ns - faster).abs() < 1e-9);
         assert_eq!(audit1.mispick, audit1.chosen != audit1.oracle);
         assert!(audit1.mispick_cost >= 1.0 - 1e-12);
+    }
+
+    #[test]
+    fn zero_tile_height_is_a_config_error_not_a_panic() {
+        // The online candidate's farm rejects the geometry, so a sweep
+        // records an error row for the matrix instead of aborting.
+        let a = generators::generate(&MatrixDesc::new(
+            "t",
+            64,
+            GenKind::Uniform { density: 0.05 },
+            3,
+        ));
+        let b = random_dense(64, 8, 4);
+        let p = SpmmPlanner::new(PlannerConfig {
+            tile_h: 0,
+            ..PlannerConfig::test_small()
+        });
+        let audit = p.explain("t", &a, &b, &ObsContext::disabled());
+        assert!(matches!(audit, Err(SimError::BadConfig(_))), "{audit:?}");
     }
 
     #[test]

@@ -281,21 +281,6 @@ impl<'a> StripConverter<'a> {
         debug_assert!(tile.validate().is_ok(), "engine produced an invalid tile");
         tile
     }
-
-    /// Convert the whole strip as consecutive `tile_h`-tall tiles.
-    pub fn convert_strip(&mut self, tile_h: usize) -> Vec<DcsrTile> {
-        let nrows = self.csc.shape().nrows;
-        let mut tiles = mem::take_tiles(self.pooled, nrows.div_ceil(tile_h.max(1)));
-        let mut row_start = 0;
-        while (row_start as usize) < nrows.max(1) {
-            tiles.push(self.next_tile(row_start, tile_h));
-            row_start += tile_h as Index;
-            if nrows == 0 {
-                break;
-            }
-        }
-        tiles
-    }
 }
 
 /// Stage the current lane coordinates (masked to rows below `row_end`)
@@ -320,80 +305,15 @@ fn fill_lane_coords(
     }));
 }
 
-/// Convert an entire CSC matrix to tiled DCSR through the engine model —
-/// the online equivalent of [`nmt_formats::TiledDcsr::from_csr`]. Returns
-/// the tiles per strip and the merged hardware-activity counters.
-///
-/// Strips convert rayon-parallel (each strip's converter is independent
-/// state); results come back in strip order and the stats merge walks
-/// strips ascending, so the output is identical at any thread count.
-pub fn convert_matrix(
-    csc: &Csc,
-    tile_w: usize,
-    tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    convert_matrix_view(csc.view(), tile_w, tile_h)
-}
-
-/// [`convert_matrix`] over a borrowed [`CscView`] — the zero-copy entry
-/// point (a CSR image of the transpose converts without materializing an
-/// owned `Csc`). Strip converters draw scratch and tile buffers from the
-/// global pools; pass the output to [`crate::mem::recycle_strips`] once
-/// consumed to make the next conversion allocation-free.
-pub fn convert_matrix_view(
-    csc: CscView<'_>,
-    tile_w: usize,
-    tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    use rayon::prelude::*;
-    let ncols = csc.shape().ncols;
-    let nstrips = nmt_formats::strip_count(ncols, tile_w);
-    let per_strip: Vec<(Vec<DcsrTile>, ConversionStats)> = (0..nstrips)
-        .into_par_iter()
-        .map(|s| {
-            let mut conv = StripConverter::with_view(csc, s, tile_w, true);
-            let tiles = conv.convert_strip(tile_h);
-            let stats = conv.stats();
-            conv.recycle();
-            (tiles, stats)
-        })
-        .collect();
-    let mut strips = Vec::with_capacity(nstrips);
-    let mut total = ConversionStats::default();
-    for (tiles, stats) in per_strip {
-        strips.push(tiles);
-        total.merge(&stats);
-    }
-    (strips, total)
-}
-
-/// CSR → tiled-**DCSC** conversion "using the same engine" (§4.1).
-///
-/// A CSR image of `A` is, byte for byte, a CSC image of `Aᵀ`
-/// (`rowptr → colptr`, `colidx → rowidx`), so feeding it to the engine
-/// produces DCSR tiles of `Aᵀ` — which are exactly DCSC tiles of `A` with
-/// the roles of `rowidx`/`colidx` swapped. This is the escape hatch for
-/// wide matrices whose CSC `colptr` would dominate storage: keep CSR in
-/// memory and let SM-side DCSC kernels consume the engine's output.
-///
-/// Returns the tiles of `Aᵀ` (strip-major over `A`'s *rows*) plus the
-/// engine counters; interpret each [`DcsrTile`]'s `rowidx` as non-empty
-/// **columns** of `A` and `colidx` as **rows** of `A`.
-pub fn convert_matrix_dcsc(
-    csr: &nmt_formats::Csr,
-    tile_w: usize,
-    tile_h: usize,
-) -> (Vec<Vec<DcsrTile>>, ConversionStats) {
-    // Reinterpret the CSR arrays as CSC of the transpose — a zero-copy
-    // borrow, exactly what the hardware would see (previously this
-    // cloned all three arrays into an owned Csc).
-    convert_matrix_view(CscView::transpose_of_csr(csr), tile_w, tile_h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::farm::{convert_matrix_farm, FarmConfig, FarmRun};
     use nmt_formats::{Coo, Csr, SparseMatrix, TiledDcsr};
+
+    fn farm(csc: &Csc, tile_w: usize, tile_h: usize) -> FarmRun {
+        convert_matrix_farm(csc, tile_w, tile_h, FarmConfig::paper_default()).unwrap()
+    }
 
     /// The Figure 13 walk-through strip: 5 rows x 3 cols,
     /// col0 = {a0@0, a2@2, a4@4}, col1 = {b0@0, b1@1, b4@4},
@@ -461,7 +381,7 @@ mod tests {
     #[test]
     fn publish_conversion_bridges_to_registry() {
         let csc = figure13_csc();
-        let (_, stats) = convert_matrix(&csc, 3, 5);
+        let stats = farm(&csc, 3, 5).stats;
         let obs = nmt_obs::ObsContext::disabled();
         publish_conversion(&obs, &stats);
         assert_eq!(obs.metrics.counter("engine.convert.elements"), 8);
@@ -501,12 +421,12 @@ mod tests {
             let csr = random_csr(n, nnz, n as u64);
             let csc = csr.to_csc();
             let offline = TiledDcsr::from_csr(&csr, tile, tile).unwrap();
-            let (online, stats) = convert_matrix(&csc, tile, tile);
-            assert_eq!(online.len(), offline.strips().len());
+            let online = farm(&csc, tile, tile);
+            assert_eq!(online.strips.len(), offline.strips().len());
             for (s, strip) in offline.strips().iter().enumerate() {
-                assert_eq!(&online[s], strip, "strip {s} differs (n={n})");
+                assert_eq!(&online.strips[s], strip, "strip {s} differs (n={n})");
             }
-            assert_eq!(stats.elements as usize, csr.nnz());
+            assert_eq!(online.stats.elements as usize, csr.nnz());
         }
     }
 
@@ -546,9 +466,8 @@ mod tests {
     fn second_strip_has_local_columns() {
         let csr = random_csr(40, 120, 9);
         let csc = csr.to_csc();
-        let mut conv = StripConverter::new(&csc, 1, 16);
-        let tiles = conv.convert_strip(16);
-        for t in &tiles {
+        let run = farm(&csc, 16, 16);
+        for t in &run.strips[1] {
             assert_eq!(t.col_start, 16);
             t.validate().unwrap();
         }
@@ -559,13 +478,12 @@ mod tests {
         // Matrix with entries only in column 0; strip 1 is empty.
         let coo = Coo::from_triplets(8, 8, &[0, 3], &[0, 0], &[1.0, 2.0]).unwrap();
         let csc = Csc::from_coo(&coo);
-        let mut conv = StripConverter::new(&csc, 1, 4);
-        let tiles = conv.convert_strip(4);
-        assert_eq!(tiles.len(), 2);
-        assert!(tiles.iter().all(nmt_formats::DcsrTile::is_empty));
-        assert_eq!(conv.stats().elements, 0);
+        let run = farm(&csc, 4, 4);
+        assert_eq!(run.strips[1].len(), 2);
+        assert!(run.strips[1].iter().all(nmt_formats::DcsrTile::is_empty));
+        assert_eq!(run.per_strip[1].elements, 0);
         // Still pays the pointer-array load and one concluding pass/tile.
-        assert_eq!(conv.stats().comparator_passes, 2);
+        assert_eq!(run.per_strip[1].comparator_passes, 2);
     }
 
     #[test]
@@ -578,51 +496,20 @@ mod tests {
     }
 
     #[test]
-    fn dcsc_conversion_is_tiling_of_the_transpose() {
-        let csr = random_csr(48, 150, 21);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 16, 16);
-        let expected = TiledDcsr::from_csr(&csr.transpose(), 16, 16).unwrap();
-        assert_eq!(tiles.len(), expected.strips().len());
-        for (s, strip) in expected.strips().iter().enumerate() {
-            assert_eq!(&tiles[s], strip, "strip {s}");
-        }
-        assert_eq!(stats.elements as usize, csr.nnz());
-        // Reassembling the tiles yields A transposed; its non-empty rows
-        // are A's non-empty columns (the DCSC semantics).
-        let back = expected.to_csr();
-        assert_eq!(back.transpose(), csr);
-    }
-
-    #[test]
-    fn dcsc_of_wide_matrix() {
-        // The §4.1 motivation: a wide matrix whose CSC colptr would be
-        // large converts through its compact CSR image instead.
-        let coo = Coo::from_triplets(4, 200, &[0, 1, 3], &[5, 150, 5], &[1.0, 2.0, 3.0]).unwrap();
-        let csr = Csr::from_coo(&coo);
-        let (tiles, stats) = convert_matrix_dcsc(&csr, 4, 64);
-        assert_eq!(stats.elements, 3);
-        // One strip over A's 4 rows; tiles cover A's 200 columns.
-        assert_eq!(tiles.len(), 1);
-        assert_eq!(tiles[0].len(), 200usize.div_ceil(64));
-        let nnz: usize = tiles[0].iter().map(nmt_formats::DcsrTile::nnz).sum();
-        assert_eq!(nnz, 3);
-    }
-
-    #[test]
     fn ragged_last_strip() {
         let csr = random_csr(20, 60, 3);
         let csc = csr.to_csc();
         // 20 cols with 16-wide strips: strip 1 is 4 wide.
-        let (tiles, _) = convert_matrix(&csc, 16, 16);
-        assert_eq!(tiles.len(), 2);
+        let run = farm(&csc, 16, 16);
+        assert_eq!(run.strips.len(), 2);
         let offline = TiledDcsr::from_csr(&csr, 16, 16).unwrap();
-        assert_eq!(tiles[1], offline.strips()[1]);
+        assert_eq!(run.strips[1], offline.strips()[1]);
     }
 }
 
 #[cfg(test)]
 mod regression_tests {
-    use super::*;
+    use crate::farm::{convert_matrix_farm, FarmConfig};
     use nmt_formats::Csc;
 
     #[test]
@@ -630,17 +517,17 @@ mod regression_tests {
         // Review regression: a zero-column CSC used to panic initializing
         // the frontier pointers.
         let csc = Csc::new(4, 0, vec![0], vec![], vec![]).unwrap();
-        let (tiles, stats) = convert_matrix(&csc, 16, 16);
-        assert_eq!(tiles.len(), 1);
-        assert!(tiles[0].iter().all(nmt_formats::DcsrTile::is_empty));
-        assert_eq!(stats.elements, 0);
+        let run = convert_matrix_farm(&csc, 16, 16, FarmConfig::paper_default()).unwrap();
+        assert_eq!(run.strips.len(), 1);
+        assert!(run.strips[0].iter().all(nmt_formats::DcsrTile::is_empty));
+        assert_eq!(run.stats.elements, 0);
     }
 
     #[test]
     fn zero_row_matrix_converts_to_empty_tiles() {
         let csc = Csc::new(0, 8, vec![0; 9], vec![], vec![]).unwrap();
-        let (tiles, stats) = convert_matrix(&csc, 4, 4);
-        assert_eq!(tiles.len(), 2);
-        assert_eq!(stats.elements, 0);
+        let run = convert_matrix_farm(&csc, 4, 4, FarmConfig::paper_default()).unwrap();
+        assert_eq!(run.strips.len(), 2);
+        assert_eq!(run.stats.elements, 0);
     }
 }

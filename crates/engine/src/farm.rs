@@ -7,6 +7,10 @@
 //! running rayon-parallel, and every counter is reduced through
 //! per-partition collectors in stable (partition-index) order.
 //!
+//! The farm is the one whole-matrix online conversion: the CLI, the
+//! online kernel, the experiments and CSR → tiled-DCSC
+//! ([`convert_matrix_dcsc`]) all convert through it.
+//!
 //! Determinism contract: the farm's outputs — the tiles, the merged
 //! [`ConversionStats`], the per-partition loads, and the switch counters —
 //! are **byte-identical regardless of thread count**. Workers return their
@@ -14,17 +18,27 @@
 //! ascending order and partitions in ascending order, so the merge order
 //! (and therefore every sum) never depends on scheduling.
 
+use crate::comparator::MAX_LANES;
 use crate::convert::{ConversionStats, StripConverter};
 use crate::placement::{Layout, PlacementError, SwitchCost};
 use nmt_fault::{FaultPlan, FaultRecord, FaultSite};
-use nmt_formats::{Csc, DcsrTile, Index, SparseMatrix};
+use nmt_formats::{Csc, CscView, Csr, DcsrTile, Index, SparseMatrix};
 use nmt_obs::{EventSite, FlightRecorder};
 use rayon::prelude::*;
 
-/// Errors produced by a farm conversion: a placement misconfiguration, or
-/// an injected fault that escalated past the per-strip retry policy.
+/// Errors produced by a farm conversion: a tile geometry the engine cannot
+/// convert, a placement misconfiguration, or an injected fault that
+/// escalated past the per-strip retry policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FarmError {
+    /// The tile is wider than the engine's lanes, or has zero width or
+    /// height.
+    TileGeometry {
+        /// Requested strip width (the engine has 1..=64 lanes).
+        tile_w: usize,
+        /// Requested tile height (at least one row).
+        tile_h: usize,
+    },
     /// The placement configuration was invalid.
     Placement(PlacementError),
     /// An injected fault survived its retry and must escalate to the
@@ -42,6 +56,11 @@ pub enum FarmError {
 impl std::fmt::Display for FarmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FarmError::TileGeometry { tile_w, tile_h } => write!(
+                f,
+                "engine cannot convert {tile_w}x{tile_h} tiles: \
+                 width must be 1..={MAX_LANES}, height at least 1"
+            ),
             FarmError::Placement(e) => write!(f, "{e}"),
             FarmError::Fault { site, key, detail } => {
                 write!(f, "injected fault at {site}#{key}: {detail}")
@@ -126,7 +145,7 @@ pub struct PartitionWork {
 pub struct FarmRun {
     /// The converted tiles, strip-major: `strips[s][t]`.
     pub strips: Vec<Vec<DcsrTile>>,
-    /// Totals across every engine (equals the serial conversion's stats).
+    /// Totals across every engine.
     pub stats: ConversionStats,
     /// Merged counters per strip, index = strip id — the kernel layer's
     /// per-strip histograms read these without re-running converters.
@@ -195,15 +214,15 @@ struct StripOutput {
 /// tile. The converter's setup cost (the Figure 14 ❶ pointer loads) lands
 /// in the first tile's delta so the per-tile deltas sum to the strip total.
 fn convert_strip_tracked(
-    csc: &Csc,
+    csc: CscView<'_>,
     strip_id: usize,
     tile_w: usize,
     tile_h: usize,
     pool: bool,
 ) -> StripOutput {
     let nrows = csc.shape().nrows;
-    let mut conv = StripConverter::with_view(csc.view(), strip_id, tile_w, pool);
-    let ntiles = nrows.max(1).div_ceil(tile_h.max(1));
+    let mut conv = StripConverter::with_view(csc, strip_id, tile_w, pool);
+    let ntiles = nrows.max(1).div_ceil(tile_h);
     let mut tiles = crate::mem::take_tiles(pool, ntiles);
     let mut per_tile = crate::mem::take_stats(pool, ntiles);
     let mut before = ConversionStats::default();
@@ -229,7 +248,7 @@ fn convert_strip_tracked(
 /// after which the strip's (uncorrupted) output is used and the event is
 /// recorded as a retry. Only a failed retry escalates to [`FarmError`].
 fn convert_strip_faulted(
-    csc: &Csc,
+    csc: CscView<'_>,
     strip_id: usize,
     tile_w: usize,
     tile_h: usize,
@@ -302,16 +321,46 @@ fn convert_strip_faulted(
 ///
 /// Strips are converted rayon-parallel (`RAYON_NUM_THREADS` respected);
 /// the reduction walks strips and partitions in ascending index order, so
-/// the result is identical to a serial run. Total stats equal
-/// [`crate::convert::convert_matrix`]'s, with the added per-partition
-/// attribution and hand-off accounting.
+/// the result is identical to a serial run. The tiles equal offline tiling
+/// ([`nmt_formats::TiledDcsr::from_csc`]) whatever the partition count and
+/// layout; those only change per-partition attribution and hand-offs.
 pub fn convert_matrix_farm(
     csc: &Csc,
     tile_w: usize,
     tile_h: usize,
     config: FarmConfig,
 ) -> Result<FarmRun, FarmError> {
-    convert_matrix_farm_obs(csc, tile_w, tile_h, config, &nmt_obs::ObsContext::disabled())
+    convert_matrix_farm_obs(
+        csc.view(),
+        tile_w,
+        tile_h,
+        config,
+        &nmt_obs::ObsContext::disabled(),
+    )
+}
+
+/// CSR → tiled-**DCSC** conversion "using the same engine" (§4.1).
+///
+/// A CSR image of `A` is, byte for byte, a CSC image of `Aᵀ`
+/// (`rowptr → colptr`, `colidx → rowidx`), so running the farm over it
+/// produces DCSR tiles of `Aᵀ` — which are exactly DCSC tiles of `A` with
+/// the roles of `rowidx`/`colidx` swapped. This is the escape hatch for
+/// wide matrices whose CSC `colptr` would dominate storage: keep CSR in
+/// memory and let SM-side DCSC kernels consume the engine's output.
+///
+/// The returned strips are the tiles of `Aᵀ` (strip-major over `A`'s
+/// *rows*); interpret each [`DcsrTile`]'s `rowidx` as non-empty
+/// **columns** of `A` and `colidx` as **rows** of `A`. The CSR arrays are
+/// borrowed, never copied — exactly what the hardware would see. The farm
+/// runs at [`FarmConfig::paper_default`].
+pub fn convert_matrix_dcsc(csr: &Csr, tile_w: usize, tile_h: usize) -> Result<FarmRun, FarmError> {
+    convert_matrix_farm_obs(
+        CscView::transpose_of_csr(csr),
+        tile_w,
+        tile_h,
+        FarmConfig::paper_default(),
+        &nmt_obs::ObsContext::disabled(),
+    )
 }
 
 /// [`convert_matrix_farm`] with worker-side observability: the whole farm
@@ -323,7 +372,7 @@ pub fn convert_matrix_farm(
 /// outputs stay byte-identical to [`convert_matrix_farm`] at any thread
 /// count, with or without a live recorder.
 pub fn convert_matrix_farm_obs(
-    csc: &Csc,
+    csc: CscView<'_>,
     tile_w: usize,
     tile_h: usize,
     config: FarmConfig,
@@ -334,6 +383,9 @@ pub fn convert_matrix_farm_obs(
     // the per-strip workers for nothing.
     let watching = obs.is_enabled();
     let _farm_span = watching.then(|| obs.span("engine.farm"));
+    if !(1..=MAX_LANES).contains(&tile_w) || tile_h == 0 {
+        return Err(FarmError::TileGeometry { tile_w, tile_h });
+    }
     if config.partitions == 0 {
         return Err(PlacementError::NoPartitions.into());
     }
@@ -434,8 +486,8 @@ pub fn convert_matrix_farm_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::convert_matrix;
-    use nmt_formats::{Coo, Csr};
+    use crate::placement::imbalance;
+    use nmt_formats::{Coo, TiledDcsr};
 
     fn sample_csc(n: usize, seed: u64) -> Csc {
         let mut entries = Vec::new();
@@ -459,10 +511,116 @@ mod tests {
     #[test]
     fn farm_matches_serial_conversion() {
         let csc = sample_csc(96, 7);
-        let (serial_tiles, serial_stats) = convert_matrix(&csc, 16, 16);
+        let offline = TiledDcsr::from_csc(&csc, 16, 16).unwrap();
         let farm = convert_matrix_farm(&csc, 16, 16, FarmConfig::for_partitions(4)).unwrap();
-        assert_eq!(farm.strips, serial_tiles);
-        assert_eq!(farm.stats, serial_stats);
+        assert_eq!(farm.strips, offline.strips());
+        // Every counter, not just the element count, must equal an
+        // independent per-strip walk of the same converter: a per-tile
+        // delta that drops or double-counts setup cost shows up here.
+        let mut serial = ConversionStats::default();
+        for s in 0..96usize.div_ceil(16) {
+            let mut conv = StripConverter::new(&csc, s, 16);
+            for row in (0..96).step_by(16) {
+                conv.next_tile(row, 16);
+            }
+            serial.merge(&conv.stats());
+        }
+        assert_eq!(farm.stats, serial);
+        assert_eq!(farm.stats.elements as usize, csc.nnz());
+        assert_eq!(farm.stats.tiles, 36);
+    }
+
+    #[test]
+    fn unconvertible_tile_geometry_is_a_typed_error() {
+        // A zero height never advances a strip's row cursor, and a width
+        // outside 1..=64 has no comparator lanes to map onto: both must be
+        // refused before any strip work starts.
+        let csc = sample_csc(8, 2);
+        for (tile_w, tile_h) in [(4, 0), (0, 4), (65, 4)] {
+            assert_eq!(
+                convert_matrix_farm(&csc, tile_w, tile_h, FarmConfig::for_partitions(4)),
+                Err(FarmError::TileGeometry { tile_w, tile_h })
+            );
+        }
+        assert!(convert_matrix_farm(&csc, 64, 1, FarmConfig::for_partitions(4)).is_ok());
+    }
+
+    /// A `rows x cols` matrix with `per_strip[s]` entries down each column
+    /// of the 8-wide strip `s` (rows `0..per_strip[s]`).
+    fn strip_loaded_csc(rows: usize, per_strip: &[usize]) -> Csc {
+        let mut coo = Coo::new(rows, 8 * per_strip.len()).unwrap();
+        for (s, &n) in per_strip.iter().enumerate() {
+            for r in 0..n {
+                for c in 0..8 {
+                    coo.push(r as u32, (8 * s + c) as u32, 1.0).unwrap();
+                }
+            }
+        }
+        coo.canonicalize();
+        Csr::from_coo(&coo).to_csc()
+    }
+
+    fn loads(csc: &Csc, layout: Layout) -> Vec<u64> {
+        let cfg = FarmConfig {
+            layout,
+            ..FarmConfig::for_partitions(4)
+        };
+        convert_matrix_farm(csc, 8, 8, cfg).unwrap().partition_loads()
+    }
+
+    #[test]
+    fn naive_layout_camps_when_few_strips() {
+        // 2 dense strips on 4 partitions: half the machine idles.
+        let csc = strip_loaded_csc(64, &[64, 64]);
+        let naive = loads(&csc, Layout::StripPerPartition);
+        assert_eq!(naive[2], 0);
+        assert_eq!(naive[3], 0);
+        assert!(imbalance(&naive) >= 2.0);
+        let rotated = loads(&csc, Layout::TileRotated);
+        assert!(imbalance(&rotated) < imbalance(&naive));
+        assert!(rotated.iter().all(|&l| l > 0), "rotation feeds every engine");
+    }
+
+    #[test]
+    fn rotation_balances_skewed_strips() {
+        // One dense strip, three nearly empty: rotation spreads the dense
+        // strip's tiles over all partitions.
+        let csc = strip_loaded_csc(128, &[128, 1, 1, 1]);
+        let naive = imbalance(&loads(&csc, Layout::StripPerPartition));
+        let rot = imbalance(&loads(&csc, Layout::TileRotated));
+        assert!(naive > 3.0, "naive {naive}");
+        assert!(rot < 1.05, "rotated {rot}");
+    }
+
+    fn sample_csr(n: usize, seed: u64) -> Csr {
+        sample_csc(n, seed).to_csr()
+    }
+
+    #[test]
+    fn dcsc_conversion_is_tiling_of_the_transpose() {
+        let csr = sample_csr(48, 21);
+        let run = convert_matrix_dcsc(&csr, 16, 16).unwrap();
+        let expected = TiledDcsr::from_csr(&csr.transpose(), 16, 16).unwrap();
+        assert_eq!(run.strips, expected.strips());
+        assert_eq!(run.stats.elements as usize, csr.nnz());
+        // Reassembling the tiles yields A transposed; its non-empty rows
+        // are A's non-empty columns (the DCSC semantics).
+        assert_eq!(expected.to_csr().transpose(), csr);
+    }
+
+    #[test]
+    fn dcsc_of_wide_matrix() {
+        // The §4.1 motivation: a wide matrix whose CSC colptr would be
+        // large converts through its compact CSR image instead.
+        let coo = Coo::from_triplets(4, 200, &[0, 1, 3], &[5, 150, 5], &[1.0, 2.0, 3.0]).unwrap();
+        let csr = Csr::from_coo(&coo);
+        let run = convert_matrix_dcsc(&csr, 4, 64).unwrap();
+        assert_eq!(run.stats.elements, 3);
+        // One strip over A's 4 rows; tiles cover A's 200 columns.
+        assert_eq!(run.strips.len(), 1);
+        assert_eq!(run.strips[0].len(), 200usize.div_ceil(64));
+        let nnz: usize = run.strips[0].iter().map(DcsrTile::nnz).sum();
+        assert_eq!(nnz, 3);
     }
 
     #[test]

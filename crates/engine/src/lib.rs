@@ -22,7 +22,9 @@
 //! * [`placement`] — FB-partition data layout and the tile-separation
 //!   load-balancing scheme (§6.1, Fig 17).
 //! * [`farm`] — the parallel engine farm: per-partition converters running
-//!   rayon-parallel with a deterministic partition-ordered reduction.
+//!   rayon-parallel with a deterministic partition-ordered reduction. The
+//!   one whole-matrix conversion ([`convert_matrix_farm`]); CSR →
+//!   tiled-DCSC ([`convert_matrix_dcsc`]) runs on it too.
 //! * [`artifact`] — reusable conversion artifacts: pre-converted operands
 //!   a serve-layer plan cache stores, byte-costed and pool-recyclable.
 
@@ -41,16 +43,13 @@ pub mod timing;
 pub use area_energy::{conversion_energy_pj, AreaEnergyModel};
 pub use artifact::ConversionArtifact;
 pub use comparator::{ComparatorError, ComparatorTree, MinResult, MinScratch, TreeStructure};
-pub use convert::{
-    convert_matrix, convert_matrix_dcsc, convert_matrix_view, publish_conversion, ConversionStats,
-    StripConverter,
-};
+pub use convert::{publish_conversion, ConversionStats, StripConverter};
 pub use farm::{
-    convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig, FarmError, FarmRun,
-    PartitionWork,
+    convert_matrix_dcsc, convert_matrix_farm, convert_matrix_farm_obs, publish_farm, FarmConfig,
+    FarmError, FarmRun, PartitionWork,
 };
 pub use pipeline::{publish_pipeline, simulate_strip, PipelineConfig, PipelineResult};
-pub use placement::{imbalance, partition_loads, Layout, PlacementError, SwitchCost};
+pub use placement::{imbalance, Layout, PlacementError, SwitchCost};
 pub use timing::{EngineTiming, PrefetchBuffer};
 
 // The zero-allocation tests in [`comparator`] count through the real

@@ -337,8 +337,9 @@ mod tests {
         let csc = uniform(64, 100);
         let config = PipelineConfig::paper_fp32(8);
         let r = simulate_strip(&csc, 0, &config);
+        // The strip's 64 rows are one 64-tall tile.
         let mut conv = StripConverter::new(&csc, 0, 8);
-        let _ = conv.convert_strip(64);
+        let _ = conv.next_tile(0, 64);
         let analytic = EngineTiming::fp32(13.6, &ComparatorTree::new(8).unwrap().structure())
             .conversion_time_ns(&conv.stats());
         let simulated = r.time_ns(&config);

@@ -47,24 +47,10 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// The partition owning tile `t` of strip `s` under this layout.
-    ///
-    /// Errors with [`PlacementError::NoPartitions`] when
-    /// `num_partitions == 0` (previously a panic).
-    pub fn partition_of(
-        self,
-        strip: usize,
-        tile: usize,
-        num_partitions: usize,
-    ) -> Result<usize, PlacementError> {
-        if num_partitions == 0 {
-            return Err(PlacementError::NoPartitions);
-        }
-        Ok(self.partition_index(strip, tile, num_partitions))
-    }
-
-    /// Infallible core of [`Self::partition_of`]; callers have already
-    /// validated `num_partitions > 0`.
+    /// The partition owning tile `tile` of strip `strip` under this layout.
+    /// `num_partitions` must be positive: the farm, the one public route to
+    /// this function, rejects a zero count with
+    /// [`PlacementError::NoPartitions`] before it routes any tile.
     pub(crate) fn partition_index(self, strip: usize, tile: usize, num_partitions: usize) -> usize {
         match self {
             Layout::StripPerPartition => strip % num_partitions,
@@ -113,26 +99,6 @@ impl SwitchCost {
     }
 }
 
-/// Assign every `(strip, tile)` of a tiled matrix to a partition and
-/// return, per partition, the total bytes it will serve — the quantity
-/// whose max/mean ratio measures camping.
-pub fn partition_loads(
-    layout: Layout,
-    tile_bytes: &[Vec<u64>],
-    num_partitions: usize,
-) -> Result<Vec<u64>, PlacementError> {
-    if num_partitions == 0 {
-        return Err(PlacementError::NoPartitions);
-    }
-    let mut loads = vec![0u64; num_partitions];
-    for (s, tiles) in tile_bytes.iter().enumerate() {
-        for (t, &bytes) in tiles.iter().enumerate() {
-            loads[layout.partition_index(s, t, num_partitions)] += bytes;
-        }
-    }
-    Ok(loads)
-}
-
 /// Max-over-mean load imbalance of a partition load vector (1.0 = perfect).
 pub fn imbalance(loads: &[u64]) -> f64 {
     let total: u64 = loads.iter().sum();
@@ -149,57 +115,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn naive_layout_camps_when_few_strips() {
-        // 2 hot strips on 4 partitions: half the machine idles.
-        let tile_bytes: Vec<Vec<u64>> = vec![vec![100; 8], vec![100; 8]];
-        let naive = partition_loads(Layout::StripPerPartition, &tile_bytes, 4).unwrap();
-        assert_eq!(naive[2], 0);
-        assert_eq!(naive[3], 0);
-        assert!(imbalance(&naive) >= 2.0);
-        let rotated = partition_loads(Layout::TileRotated, &tile_bytes, 4).unwrap();
-        assert!(imbalance(&rotated) < imbalance(&naive));
-        assert!(
-            rotated.iter().all(|&l| l > 0),
-            "rotation spreads every partition"
-        );
-    }
-
-    #[test]
-    fn rotation_balances_skewed_strips() {
-        // One heavy strip, three light: rotation spreads the heavy strip's
-        // tiles over all partitions.
-        let tile_bytes: Vec<Vec<u64>> =
-            vec![vec![1000; 16], vec![10; 16], vec![10; 16], vec![10; 16]];
-        let naive = imbalance(&partition_loads(Layout::StripPerPartition, &tile_bytes, 4).unwrap());
-        let rot = imbalance(&partition_loads(Layout::TileRotated, &tile_bytes, 4).unwrap());
-        assert!(naive > 3.0, "naive {naive}");
-        assert!(rot < 1.05, "rotated {rot}");
-    }
-
-    #[test]
-    fn partition_of_is_stable_and_in_range() {
+    fn partition_index_is_stable_and_in_range() {
         for layout in [Layout::StripPerPartition, Layout::TileRotated] {
             for s in 0..10 {
                 for t in 0..10 {
-                    let p = layout.partition_of(s, t, 4).unwrap();
+                    let p = layout.partition_index(s, t, 4);
                     assert!(p < 4);
-                    assert_eq!(p, layout.partition_of(s, t, 4).unwrap());
+                    assert_eq!(p, layout.partition_index(s, t, 4));
                 }
             }
         }
+        assert_eq!(Layout::StripPerPartition.partition_index(1, 5, 4), 1);
+        assert_eq!(Layout::TileRotated.partition_index(1, 5, 4), 2);
     }
 
     #[test]
-    fn degenerate_queries_error_instead_of_panicking() {
-        assert_eq!(
-            Layout::TileRotated.partition_of(0, 0, 0),
-            Err(PlacementError::NoPartitions)
-        );
-        let tile_bytes: Vec<Vec<u64>> = vec![vec![1]];
-        assert_eq!(
-            partition_loads(Layout::TileRotated, &tile_bytes, 0),
-            Err(PlacementError::NoPartitions)
-        );
+    fn degenerate_switch_granularity_errors_instead_of_panicking() {
         let c = SwitchCost { lanes: 64 };
         assert_eq!(
             c.overhead_fraction(0, 24.0),

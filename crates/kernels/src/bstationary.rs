@@ -419,16 +419,20 @@ pub fn bstat_tiled_dcsr_online_obs(
     // strips sharded rayon-parallel across the farm (§6.1). The farm's
     // reduction is partition-index-ordered, so `engine` and every obs
     // counter below are byte-identical at any thread count.
-    let nstrips = nmt_formats::strip_count(shape.ncols, tile_w);
-    let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
+    // The farm validates the tile geometry, so a zero height surfaces as
+    // `BadConfig` here before `tile_count` could assert on it.
     let farm_cfg =
         FarmConfig::for_partitions(gpu.config().num_partitions).with_fault(gpu.fault_plan());
-    let farm = convert_matrix_farm_obs(csc, tile_w, tile_h, farm_cfg, obs).map_err(|e| match e {
-        nmt_engine::FarmError::Fault { site, key, detail } => {
-            SimError::InjectedFault { site, key, detail }
-        }
-        other => SimError::BadConfig(other.to_string()),
-    })?;
+    let farm = convert_matrix_farm_obs(csc.view(), tile_w, tile_h, farm_cfg, obs).map_err(
+        |e| match e {
+            nmt_engine::FarmError::Fault { site, key, detail } => {
+                SimError::InjectedFault { site, key, detail }
+            }
+            other => SimError::BadConfig(other.to_string()),
+        },
+    )?;
+    let nstrips = nmt_formats::strip_count(shape.ncols, tile_w);
+    let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
     let engine = farm.stats;
     {
         let mut convert_span = obs.span("engine.convert");
@@ -594,6 +598,20 @@ mod tests {
         let offline = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
         assert!(online.run.c.approx_eq(&offline.c, 1e-5));
         assert_eq!(online.engine.elements as usize, a.nnz());
+    }
+
+    #[test]
+    fn online_rejects_unconvertible_tiles_as_bad_config() {
+        // Geometry the engine cannot convert is a config error for this
+        // matrix, not a panic that would abort a whole sweep.
+        let csc = matrix(32, 0.1, 5).to_csc();
+        let b = random_dense(32, 4, 6);
+        for (tile_w, tile_h) in [(16, 0), (65, 16)] {
+            match bstat_tiled_dcsr_online(&mut gpu(), &csc, &b, tile_w, tile_h) {
+                Err(SimError::BadConfig(_)) => {}
+                other => panic!("{tile_w}x{tile_h}: expected BadConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,9 @@ use spmm_nmt::bench::{
     PerfTolerance, ProgressReporter, ServeRunRow, EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
-use spmm_nmt::engine::{conversion_energy_pj, convert_matrix, ComparatorTree, EngineTiming};
+use spmm_nmt::engine::{
+    conversion_energy_pj, convert_matrix_farm, ComparatorTree, EngineTiming, FarmConfig,
+};
 use spmm_nmt::formats::{market, Csr, Dcsr, SparseMatrix, StorageSize, TiledDcsr};
 use spmm_nmt::matgen::{random_dense, SuiteScale, SuiteSpec};
 use spmm_nmt::model::ssf::SsfProfile;
@@ -329,13 +331,15 @@ fn cmd_convert(rest: &[&String]) -> Result<(), String> {
     }
     let a = load(rest)?;
     let csc = a.to_csc();
-    let (tiles, stats) = convert_matrix(&csc, tile, tile);
+    let farm = convert_matrix_farm(&csc, tile, tile, FarmConfig::paper_default())
+        .map_err(|e| e.to_string())?;
+    let stats = farm.stats;
     let tree = ComparatorTree::new(tile)
         .map_err(|e| e.to_string())?
         .structure();
     let timing = EngineTiming::fp32(13.6, &tree);
-    let per_strip_ns = timing.conversion_time_ns(&stats) / tiles.len().max(1) as f64;
-    println!("strips           : {}", tiles.len());
+    let per_strip_ns = timing.conversion_time_ns(&stats) / farm.strips.len().max(1) as f64;
+    println!("strips           : {}", farm.strips.len());
     println!("tiles            : {}", stats.tiles);
     println!("elements         : {}", stats.elements);
     println!("DCSR rows        : {}", stats.rows_emitted);

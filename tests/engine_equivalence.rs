@@ -1,11 +1,15 @@
 //! The engine's defining property: **online CSC→DCSR conversion is
 //! bit-identical to offline tiling**, for any matrix, any tile geometry,
-//! and any request order.
+//! any request order, and any engine-farm partition count or layout.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use spmm_nmt::engine::comparator::ComparatorTree;
-use spmm_nmt::engine::{convert_matrix, ConversionStats, EngineTiming, StripConverter};
-use spmm_nmt::formats::{Coo, Csr, SparseMatrix, TiledDcsr};
+use spmm_nmt::engine::{
+    convert_matrix_farm, ConversionStats, EngineTiming, FarmConfig, FarmRun, Layout,
+    StripConverter,
+};
+use spmm_nmt::formats::{Coo, Csc, Csr, SparseMatrix, TiledDcsr};
 
 fn csr_strategy() -> impl Strategy<Value = Csr> {
     (2usize..=48, 2usize..=48).prop_flat_map(|(nrows, ncols)| {
@@ -21,18 +25,53 @@ fn csr_strategy() -> impl Strategy<Value = Csr> {
     })
 }
 
+/// A farm of 1..=8 partitions under either layout.
+fn farm_strategy() -> impl Strategy<Value = FarmConfig> {
+    (1usize..=8, proptest::bool::ANY).prop_map(|(partitions, rotated)| FarmConfig {
+        layout: if rotated {
+            Layout::TileRotated
+        } else {
+            Layout::StripPerPartition
+        },
+        ..FarmConfig::for_partitions(partitions)
+    })
+}
+
+/// Convert through the farm under `config`, checking that neither the
+/// partition count nor the layout changes the tiles or the total stats
+/// (the reference is the paper's 64-partition rotated farm).
+fn convert(
+    csc: &Csc,
+    tile_w: usize,
+    tile_h: usize,
+    config: FarmConfig,
+) -> Result<FarmRun, TestCaseError> {
+    let run = convert_matrix_farm(csc, tile_w, tile_h, config).expect("valid farm geometry");
+    let reference = convert_matrix_farm(csc, tile_w, tile_h, FarmConfig::paper_default())
+        .expect("valid farm geometry");
+    prop_assert_eq!(&run.strips, &reference.strips);
+    prop_assert_eq!(run.stats, reference.stats);
+    Ok(run)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn online_equals_offline(csr in csr_strategy(), tile_w in 1usize..=32, tile_h in 1usize..=32) {
+    fn online_equals_offline(
+        csr in csr_strategy(),
+        tile_w in 1usize..=32,
+        tile_h in 1usize..=32,
+        farm in farm_strategy(),
+    ) {
         let csc = csr.to_csc();
         let offline = TiledDcsr::from_csr(&csr, tile_w, tile_h).expect("tiling");
-        let (online, stats) = convert_matrix(&csc, tile_w.min(64), tile_h);
-        prop_assert_eq!(online.len(), offline.strips().len());
+        let online = convert(&csc, tile_w, tile_h, farm)?;
+        prop_assert_eq!(online.strips.len(), offline.strips().len());
         for (s, strip) in offline.strips().iter().enumerate() {
-            prop_assert_eq!(&online[s], strip);
+            prop_assert_eq!(&online.strips[s], strip);
         }
+        let stats = online.stats;
         prop_assert_eq!(stats.elements as usize, csr.nnz());
         prop_assert_eq!(stats.tiles as usize, offline.num_strips() * offline.tiles_per_strip());
     }
@@ -42,12 +81,11 @@ proptest! {
         let csc = csr.to_csc();
         let tile_w = 8usize;
         if csc.shape().ncols == 0 { return Ok(()); }
-        let nstrips = csc.shape().ncols.div_ceil(tile_w);
         let ntiles = csc.shape().nrows.div_ceil(tile_h);
-        for s in 0..nstrips {
-            // Sequential pass.
-            let mut seq = StripConverter::new(&csc, s, tile_w);
-            let seq_tiles = seq.convert_strip(tile_h);
+        // The farm walks every strip top to bottom: the sequential pass.
+        let seq = convert_matrix_farm(&csc, tile_w, tile_h, FarmConfig::paper_default())
+            .expect("valid farm geometry");
+        for (s, seq_tiles) in seq.strips.iter().enumerate() {
             // Reverse-order random access via seek.
             let mut rnd = StripConverter::new(&csc, s, tile_w);
             for t in (0..ntiles).rev() {
@@ -59,9 +97,10 @@ proptest! {
     }
 
     #[test]
-    fn conversion_stats_invariants(csr in csr_strategy()) {
+    fn conversion_stats_invariants(csr in csr_strategy(), farm in farm_strategy()) {
         let csc = csr.to_csc();
-        let (tiles, stats) = convert_matrix(&csc, 8, 8);
+        let run = convert(&csc, 8, 8, farm)?;
+        let (tiles, stats) = (&run.strips, run.stats);
         // Each emitted row costs one comparator pass; each tile one more
         // concluding pass.
         prop_assert_eq!(stats.comparator_passes, stats.rows_emitted + stats.tiles);
@@ -102,12 +141,12 @@ proptest! {
     }
 
     #[test]
-    fn engine_throughput_never_below_channel(csr in csr_strategy()) {
+    fn engine_throughput_never_below_channel(csr in csr_strategy(), farm in farm_strategy()) {
         // §5.3's claim: the pipelined engine always keeps up with the
         // channel, even in the worst (single-element-row) case — as long
         // as there is enough work to amortize the pipeline fill.
         let csc = csr.to_csc();
-        let (_, stats) = convert_matrix(&csc, 8, 8);
+        let stats = convert(&csc, 8, 8, farm)?.stats;
         if stats.elements >= 64 {
             let tree = ComparatorTree::new(8).unwrap().structure();
             let t = EngineTiming::fp32(13.6, &tree);

@@ -1,13 +1,12 @@
 //! End-to-end planner tests: profile → choose → execute across every
-//! structural family, plus the conversion-queue API and the multi-GPU
-//! streaming model.
+//! structural family, plus whole-matrix engine-farm conversion and the
+//! multi-GPU streaming model.
 
-use spmm_nmt::engine::Layout;
+use spmm_nmt::engine::{convert_matrix_farm, FarmConfig, Layout};
 use spmm_nmt::formats::{SparseMatrix, TiledDcsr};
 use spmm_nmt::kernels::host;
 use spmm_nmt::matgen::{generators, random_dense, GenKind, MatrixDesc};
 use spmm_nmt::model::ssf::Choice;
-use spmm_nmt::planner::api::{ConversionQueue, GetDcsrTileRequest};
 use spmm_nmt::planner::multi_gpu::{plan_streamed_spmm, LargeSpmmProblem, MultiGpuConfig};
 use spmm_nmt::planner::planner::{PlannerConfig, SpmmPlanner};
 
@@ -132,7 +131,7 @@ fn heuristic_separates_clustered_from_scattered() {
 }
 
 #[test]
-fn conversion_queue_serves_a_full_matrix_correctly() {
+fn engine_farm_serves_a_full_matrix_correctly() {
     let a = generators::generate(&MatrixDesc::new(
         "q",
         96,
@@ -144,27 +143,23 @@ fn conversion_queue_serves_a_full_matrix_correctly() {
     ));
     let csc = a.to_csc();
     let offline = TiledDcsr::from_csc(&csc, 16, 16).expect("tiling");
-    let mut queue = ConversionQueue::new(&csc, 16, 16, Layout::TileRotated, 8);
-    // SMs request tiles in an interleaved order, as concurrent blocks would.
-    let nstrips = queue.num_strips();
+    let config = FarmConfig {
+        layout: Layout::TileRotated,
+        ..FarmConfig::for_partitions(8)
+    };
+    let farm = convert_matrix_farm(&csc, 16, 16, config).expect("valid farm config");
     let ntiles = 96usize.div_ceil(16);
-    for t in 0..ntiles {
-        for s in 0..nstrips {
-            queue.submit(GetDcsrTileRequest {
-                strip_id: s,
-                row_start: (t * 16) as u32,
-                sm_id: (s + t) % 4,
-            });
+    assert_eq!(farm.strips.len(), offline.strips().len());
+    assert_eq!(farm.stats.tiles as usize, farm.strips.len() * ntiles);
+    for (s, strip) in farm.strips.iter().enumerate() {
+        assert_eq!(strip.len(), ntiles);
+        for (t, tile) in strip.iter().enumerate() {
+            assert_eq!(tile, &offline.strips()[s][t], "strip {s} tile {t}");
         }
     }
-    let responses = queue.drain();
-    assert_eq!(responses.len(), nstrips * ntiles);
-    for resp in responses {
-        let expected =
-            &offline.strips()[resp.request.strip_id][resp.request.row_start as usize / 16];
-        assert_eq!(&resp.tile, expected);
-    }
-    assert_eq!(queue.stats().elements as usize, a.nnz());
+    // Rotation over 8 partitions puts every engine to work.
+    assert!(farm.per_partition.iter().all(|p| p.tiles > 0));
+    assert_eq!(farm.stats.elements as usize, a.nnz());
 }
 
 #[test]
@@ -205,9 +200,10 @@ fn planner_handles_zero_dimension_matrix() {
     // The engine side of the same convention: one phantom strip holding
     // one phantom (empty) tile, mirroring `strip_count`/`tile_count`.
     let csc = a.to_csc();
-    let (strips, stats) = spmm_nmt::engine::convert_matrix(&csc, 16, 16);
-    assert_eq!(strips.len(), 1, "zero-width matrix still owns one strip");
-    assert_eq!(strips[0].len(), 1, "zero-height strip still owns one tile");
-    assert_eq!(strips[0][0].nnz(), 0);
-    assert_eq!(stats.elements, 0);
+    let farm =
+        convert_matrix_farm(&csc, 16, 16, FarmConfig::paper_default()).expect("zero-dim farm");
+    assert_eq!(farm.strips.len(), 1, "zero-width matrix still owns one strip");
+    assert_eq!(farm.strips[0].len(), 1, "zero-height strip still owns one tile");
+    assert_eq!(farm.strips[0][0].nnz(), 0);
+    assert_eq!(farm.stats.elements, 0);
 }
