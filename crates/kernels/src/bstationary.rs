@@ -3,14 +3,19 @@
 //! (column-major traversal, §3.1.3) and commit partial sums of C with
 //! atomics (2× channel occupancy).
 //!
-//! Three variants of the A-side tile format:
-//! * [`bstat_tiled_csr`] — strips kept in CSR: every tile scans a full
-//!   `tile_h + 1` row-pointer window and burns a 1-active-lane check per
-//!   empty row (the Figure 6/7 pathology).
+//! Every variant runs one row body (`process_tile_row`) and one B-tile
+//! load. The DCSR variants share one launch (Figure 11's device loop) and
+//! differ only in the block order ([`Traversal`]) and the tile source,
+//! which charges each tile's DRAM cost:
+//! * [`bstat_tiled_csr`] — strips kept in CSR, with its own rowptr walk:
+//!   every tile scans a full `tile_h + 1` row-pointer window and burns a
+//!   1-active-lane check per empty row (the Figure 6/7 pathology).
 //! * [`bstat_tiled_dcsr_offline`] — tiles pre-converted to DCSR and stored
 //!   in DRAM: compute-efficient but pays the tiled-metadata footprint of
 //!   Figure 9 on every read (and, in reality, an offline conversion pass
 //!   this kernel does not charge — §5.2 calls its results optimistic).
+//!   [`bstat_tiled_dcsr_traversal`] runs the same tiles under either
+//!   §3.1.3 order with `tile_w`-wide output-column slices.
 //! * [`bstat_tiled_dcsr_online`] — the paper's proposal: DRAM holds only
 //!   the compact CSC; the near-memory engine streams freshly-minted DCSR
 //!   tiles to the SM over the crossbar, so the DRAM-side cost is the CSC
@@ -22,72 +27,93 @@ use nmt_engine::{
     convert_matrix_farm_obs, publish_conversion, publish_farm, publish_pipeline, simulate_strip,
     ConversionStats, FarmConfig, PipelineConfig, PipelineResult,
 };
-use nmt_formats::{Csc, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
+use nmt_formats::{Csc, DcsrTile, DenseMatrix, SparseMatrix, TiledCsr, TiledDcsr};
 use nmt_obs::ObsContext;
-use nmt_sim::{BlockCtx, Gpu, InstrClass, SimError, TrafficClass};
+use nmt_sim::{BlockCtx, Gpu, InstrClass, KernelStats, SimError, TrafficClass};
 
-/// Per-row inner loop shared by every B-stationary variant: FMA the row
-/// segment against the shared-memory B tile and atomically add the partial
-/// C row. Returns nothing; updates the functional output.
-///
-/// `cols` are tile-local column indices; `col_base` rebases them to global
-/// columns in-register, so callers hand the tile's `colidx` slice straight
-/// through instead of materializing a rebased copy per row. `acc` is
-/// caller-provided scratch (cleared and refilled here) so the per-row
-/// accumulator costs zero allocations across the whole launch.
-#[allow(clippy::too_many_arguments)]
-fn process_tile_row(
-    ctx: &mut BlockCtx<'_>,
-    c: &mut DenseMatrix,
-    c_dev: &DenseDevice,
-    b: &DenseMatrix,
-    global_row: usize,
-    cols: &[u32],
-    col_base: u32,
-    vals: &[f32],
-    k: usize,
-    acc: &mut Vec<f32>,
-) {
-    let warp = ctx.warp_size();
-    acc.clear();
-    acc.resize(k, 0.0);
-    for (&cl, &v) in cols.iter().zip(vals) {
-        let col = (col_base + cl) as usize;
-        ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-        let mut kc = 0;
-        while kc < k {
-            let chunk = (k - kc).min(warp);
-            // B comes from shared memory: issue cost only, no global traffic.
-            ctx.shared_op(chunk as u64 * WORD, chunk);
-            ctx.fma(chunk, 1);
-            let brow = b.row(col);
-            for x in kc..kc + chunk {
-                acc[x] += v * brow[x];
-            }
-            kc += chunk;
-        }
-    }
-    // Partial contribution: atomic adds over the C row (Table 1's 2x).
-    let (off, bytes) = c_dev.row_segment(global_row as u64, 0, k as u64);
-    ctx.atomic_add_global(&c_dev.buf, off, bytes);
-    let out = c.row_mut(global_row);
-    for (o, a) in out.iter_mut().zip(acc.iter()) {
-        *o += a;
-    }
+/// What every B-stationary launch works on: B and its device image, the
+/// functional C and its device image, and the per-row accumulator
+/// (pooled, so it costs zero allocations across the whole launch).
+struct Operands<'a> {
+    b: &'a DenseMatrix,
+    b_dev: DenseDevice,
+    c: DenseMatrix,
+    c_dev: DenseDevice,
+    acc: Vec<f32>,
 }
 
-/// Load the strip's B tile (tile_w rows × K columns) into shared memory.
-fn load_b_tile(
-    ctx: &mut BlockCtx<'_>,
-    b_dev: &DenseDevice,
-    strip_row0: usize,
-    rows: usize,
-    k: usize,
-) {
-    for i in 0..rows {
-        let (off, bytes) = b_dev.row_segment((strip_row0 + i) as u64, 0, k as u64);
-        ctx.ld_global(&b_dev.buf, off, bytes, false);
-        ctx.shared_op(bytes, ctx.warp_size().min(k));
+impl<'a> Operands<'a> {
+    /// Upload B and an `n`-row C after A's buffers.
+    fn upload(gpu: &mut Gpu, b: &'a DenseMatrix, n: usize, acc_cap: usize) -> Self {
+        let c = DenseMatrix::zeros(n, b.ncols());
+        Self {
+            b,
+            b_dev: DenseDevice::upload(gpu, b, TrafficClass::MatB),
+            c_dev: DenseDevice::upload(gpu, &c, TrafficClass::MatC),
+            c,
+            acc: nmt_engine::mem::take_val(true, acc_cap),
+        }
+    }
+
+    /// Load the strip's B tile (`rows` rows of B from `row0`, output
+    /// columns `[k_lo, k_hi)`) into shared memory.
+    fn load_b_tile(&self, ctx: &mut BlockCtx<'_>, row0: usize, rows: usize, k: (usize, usize)) {
+        let (b_dev, k_lo, kw) = (&self.b_dev, k.0, k.1 - k.0);
+        for i in 0..rows {
+            let (off, bytes) = b_dev.row_segment((row0 + i) as u64, k_lo as u64, kw as u64);
+            ctx.ld_global(&b_dev.buf, off, bytes, false);
+            ctx.shared_op(bytes, ctx.warp_size().min(kw));
+        }
+    }
+
+    /// The one B-stationary row body: FMA the row segment against the
+    /// shared-memory B tile over output columns `[k_lo, k_hi)` and
+    /// atomically add that slice of the partial C row. `cols` are
+    /// tile-local; `col_base` rebases them to global columns in-register.
+    ///
+    /// Issue accounting is charged once per row: per non-zero, one index
+    /// instruction, then one shared-memory read and one FMA per warp-wide
+    /// chunk. These counters only add, so `nnz × full_chunks` plus the
+    /// remainder chunk is exactly the per-element loop's total. The FMA
+    /// stays element-outer, so C is bitwise the per-element loop's too.
+    fn process_tile_row(
+        &mut self,
+        ctx: &mut BlockCtx<'_>,
+        row: usize,
+        (cols, col_base, vals): (&[u32], u32, &[f32]),
+        (k_lo, k_hi): (usize, usize),
+    ) {
+        let warp = ctx.warp_size();
+        let (kw, nnz) = (k_hi - k_lo, cols.len() as u64);
+        let (full, rem) = ((kw / warp) as u64, kw % warp);
+        ctx.warp_instr(InstrClass::Integer, kw.min(warp), nnz);
+        // B comes from shared memory: issue cost only, no global traffic.
+        ctx.warp_instr(InstrClass::Memory, warp, nnz * full);
+        ctx.fma(warp, nnz * full);
+        if rem > 0 {
+            ctx.warp_instr(InstrClass::Memory, rem, nnz);
+            ctx.fma(rem, nnz);
+        }
+        let acc = &mut self.acc;
+        acc.clear();
+        acc.resize(kw, 0.0);
+        for (&cl, &v) in cols.iter().zip(vals) {
+            let brow = &self.b.row((col_base + cl) as usize)[k_lo..k_hi];
+            for (a, &bv) in acc.iter_mut().zip(brow) {
+                *a += v * bv;
+            }
+        }
+        // Partial contribution: atomic adds over the C row slice (Table 1's 2x).
+        let (off, bytes) = self.c_dev.row_segment(row as u64, k_lo as u64, kw as u64);
+        ctx.atomic_add_global(&self.c_dev.buf, off, bytes);
+        for (o, a) in self.c.row_mut(row)[k_lo..k_hi].iter_mut().zip(acc.iter()) {
+            *o += a;
+        }
+    }
+
+    fn finish(self, stats: KernelStats) -> KernelRun {
+        nmt_engine::mem::put_val(true, self.acc);
+        KernelRun { c: self.c, stats }
     }
 }
 
@@ -116,6 +142,12 @@ pub fn bstat_tiled_csr(
 ) -> Result<KernelRun, SimError> {
     let shape = tiled.shape();
     check_dims(shape, b, tiled.tile_width())?;
+    // `TiledCsr` carries no tile height, so the caller's is checked here.
+    if tile_h == 0 {
+        return Err(SimError::ShapeMismatch {
+            detail: "tile height must be positive".into(),
+        });
+    }
     let n = shape.nrows;
     let k = b.ncols();
     let tile_w = tiled.tile_width();
@@ -127,27 +159,18 @@ pub fn bstat_tiled_csr(
         strip_rowptr.push(gpu.alloc((n as u64 + 1) * WORD, TrafficClass::MatA));
         strip_elems.push(gpu.alloc((strip.nnz().max(1) as u64) * 2 * WORD, TrafficClass::MatA));
     }
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
+    let mut ops = Operands::upload(gpu, b, n, k);
     let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
     // One thread block per strip: the B tile is loaded into shared memory
     // once and every tile of the strip streams past it (§3.1.1: "a tile
     // of B is loaded into the shared memory only once").
     let num_blocks = tiled.strips().len();
     let shared = tile_w * k * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, k);
     let stats = gpu.launch(shared, num_blocks, |ctx| {
         let s = ctx.block_id;
         let strip = &tiled.strips()[s];
-        load_b_tile(
-            ctx,
-            &b_dev,
-            s * tile_w,
-            strip.width.min(b.nrows() - s * tile_w),
-            k,
-        );
+        let b_rows = strip.width.min(b.nrows() - s * tile_w);
+        ops.load_b_tile(ctx, s * tile_w, b_rows, (0, k));
         for t in 0..tiles_per_strip {
             let row0 = t * tile_h;
             let row1 = (row0 + tile_h).min(n);
@@ -174,87 +197,12 @@ pub fn bstat_tiled_csr(
                     seg as u64 * 2 * WORD,
                     false,
                 );
-                process_tile_row(
-                    ctx,
-                    &mut c,
-                    &c_dev,
-                    b,
-                    r,
-                    &strip.colidx[lo..hi],
-                    strip.col_start,
-                    &strip.values[lo..hi],
-                    k,
-                    &mut acc,
-                );
+                let (cols, vals) = (&strip.colidx[lo..hi], &strip.values[lo..hi]);
+                ops.process_tile_row(ctx, r, (cols, strip.col_start, vals), (0, k));
             }
         }
     })?;
-    nmt_engine::mem::put_val(true, acc);
-    Ok(KernelRun { c, stats })
-}
-
-/// B-stationary over offline-tiled **DCSR** (stored pre-tiled in DRAM).
-pub fn bstat_tiled_dcsr_offline(
-    gpu: &mut Gpu,
-    tiled: &TiledDcsr,
-    b: &DenseMatrix,
-) -> Result<KernelRun, SimError> {
-    let shape = tiled.shape();
-    check_dims(shape, b, tiled.tile_width())?;
-    let n = shape.nrows;
-    let k = b.ncols();
-    let tile_w = tiled.tile_width();
-    let a_dev = TiledDcsrDevice::upload(gpu, tiled);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    let tiles_per_strip = tiled.tiles_per_strip();
-    // One block per strip: B tile resident in shared memory across all of
-    // the strip's tiles.
-    let num_blocks = tiled.num_strips();
-    let shared = tile_w * k * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, k);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        let s = ctx.block_id;
-        let first_width = tiled.strips()[s].first().map_or(tile_w, |t| t.width);
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
-        load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
-        for t in 0..tiles_per_strip {
-            let tile = &tiled.strips()[s][t];
-            // Tile directory entry + the tile's packed bytes.
-            let (off, len) = a_dev.offsets[s][t];
-            let dir_bytes = 8.min(a_dev.data.len);
-            ctx.ld_global(
-                &a_dev.data,
-                off.min(a_dev.data.len - dir_bytes),
-                dir_bytes,
-                false,
-            );
-            if len > 0 {
-                ctx.ld_global(&a_dev.data, off, len, false);
-            }
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                process_tile_row(
-                    ctx,
-                    &mut c,
-                    &c_dev,
-                    b,
-                    global_row,
-                    &tile.colidx[lo..hi],
-                    tile.col_start,
-                    &tile.values[lo..hi],
-                    k,
-                    &mut acc,
-                );
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(true, acc);
-    Ok(KernelRun { c, stats })
+    Ok(ops.finish(stats))
 }
 
 /// Order in which the grid of B tiles is traversed (§3.1.3).
@@ -274,6 +222,146 @@ pub enum Traversal {
     ColumnMajor,
 }
 
+impl Traversal {
+    /// The (strip, output-column tile) block `id` owns in a grid of
+    /// `strips × kc_tiles` B tiles.
+    fn block(self, id: usize, strips: usize, kc_tiles: usize) -> (usize, usize) {
+        match self {
+            Self::RowMajor => (id / kc_tiles, id % kc_tiles),
+            Self::ColumnMajor => (id % strips, id / strips),
+        }
+    }
+}
+
+/// Where a DCSR launch's tiles come from, and so what each costs in DRAM:
+/// the one difference between offline and online tiles (§4, Figure 9).
+enum TileSource<'a> {
+    /// Offline tiles packed in DRAM.
+    Packed(TiledDcsrDevice),
+    /// Tiles the near-memory engine mints from the CSC (`GetDCSRTile`).
+    Engine { csc: &'a Csc, dev: CscDevice },
+}
+
+impl TileSource<'_> {
+    /// Once per strip, after its B tile load.
+    fn begin_strip(&self, ctx: &mut BlockCtx<'_>, s: usize, tile_w: usize, first_width: usize) {
+        if let Self::Engine { dev, .. } = self {
+            // The engine loads boundary/frontier pointers from col_ptr
+            // once per strip (Figure 14 ❶).
+            let (off, len) = ((s * tile_w) as u64 * WORD, (first_width as u64 + 1) * WORD);
+            ctx.ld_global(&dev.colptr, off, len, false);
+        }
+    }
+
+    /// Tile `t` of strip `s`, whose earlier tiles hold `before` elements.
+    fn charge_tile(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        (s, t): (usize, usize),
+        tile: &DcsrTile,
+        tile_w: usize,
+        before: u64,
+    ) {
+        match self {
+            Self::Packed(dev) => {
+                // Tile directory entry + the tile's packed bytes.
+                let (off, len) = dev.offsets[s][t];
+                let dir_bytes = 8.min(dev.data.len);
+                let dir = off.min(dev.data.len - dir_bytes);
+                ctx.ld_global(&dev.data, dir, dir_bytes, false);
+                if len > 0 {
+                    ctx.ld_global(&dev.data, off, len, false);
+                }
+            }
+            Self::Engine { csc, dev } => {
+                // GetDCSRTile request: much like a warp vector store (Fig. 11).
+                ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
+                // The engine streams the tile's CSC elements (rowidx +
+                // value) from DRAM inside the FB partition: the strip's
+                // elements are contiguous, and this tile consumes the
+                // next `nnz` of them (sequential frontier advance).
+                if tile.nnz() > 0 {
+                    let lo = (csc.colptr()[s * tile_w] as u64 + before) * WORD;
+                    let bytes = tile.nnz() as u64 * WORD;
+                    ctx.ld_global(&dev.rowidx, lo, bytes, false);
+                    ctx.ld_global(&dev.values, lo, bytes, false);
+                }
+                // Converted rows arrive over the Xbar into shared memory:
+                // crossbar bandwidth and issue slots, but no DRAM
+                // bandwidth — the engine's whole point.
+                ctx.xbar_stream((tile.metadata_bytes() + tile.data_bytes()) as u64);
+            }
+        }
+    }
+}
+
+/// The one B-stationary DCSR launch, Figure 11's device loop: each block
+/// takes a (strip, output-column tile) from `order`, loads that B tile
+/// into shared memory once, then streams the strip's tiles past it, each
+/// charged by `source`. Output-column tiles are `kc_w` wide.
+fn launch_dcsr_tiles(
+    gpu: &mut Gpu,
+    strips: &[Vec<DcsrTile>],
+    source: &TileSource<'_>,
+    (b, n): (&DenseMatrix, usize),
+    (tile_w, kc_w): (usize, usize),
+    order: Traversal,
+) -> Result<KernelRun, SimError> {
+    let k = b.ncols();
+    let mut ops = Operands::upload(gpu, b, n, kc_w);
+    let nstrips = strips.len();
+    let kc_tiles = k.div_ceil(kc_w.max(1)).max(1);
+    let shared = tile_w * kc_w * WORD as usize;
+    let stats = gpu.launch(shared, nstrips * kc_tiles, |ctx| {
+        let (s, kc) = order.block(ctx.block_id, nstrips, kc_tiles);
+        let k_tile = (kc * kc_w, (kc * kc_w + kc_w).min(k));
+        let first_width = strips[s].first().map_or(tile_w, |t| t.width);
+        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
+        ops.load_b_tile(ctx, s * tile_w, b_rows, k_tile);
+        source.begin_strip(ctx, s, tile_w, first_width);
+        let mut before = 0;
+        for (t, tile) in strips[s].iter().enumerate() {
+            source.charge_tile(ctx, (s, t), tile, tile_w, before);
+            before += tile.nnz() as u64;
+            for i in 0..tile.nnz_rows() {
+                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
+                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
+                let row = (tile.row_start + tile.rowidx[i]) as usize;
+                let (cols, vals) = (&tile.colidx[lo..hi], &tile.values[lo..hi]);
+                ops.process_tile_row(ctx, row, (cols, tile.col_start, vals), k_tile);
+            }
+        }
+    })?;
+    Ok(ops.finish(stats))
+}
+
+/// Offline tiles packed in DRAM, under `order` with `kc_w`-wide
+/// output-column tiles.
+fn launch_packed(
+    gpu: &mut Gpu,
+    tiled: &TiledDcsr,
+    b: &DenseMatrix,
+    kc_w: usize,
+    order: Traversal,
+) -> Result<KernelRun, SimError> {
+    let (shape, tile_w) = (tiled.shape(), tiled.tile_width());
+    check_dims(shape, b, tile_w)?;
+    let source = TileSource::Packed(TiledDcsrDevice::upload(gpu, tiled));
+    let n = shape.nrows;
+    launch_dcsr_tiles(gpu, tiled.strips(), &source, (b, n), (tile_w, kc_w), order)
+}
+
+/// B-stationary over offline-tiled **DCSR** (stored pre-tiled in DRAM):
+/// one block per strip, B tile resident in shared memory across all of
+/// the strip's tiles.
+pub fn bstat_tiled_dcsr_offline(
+    gpu: &mut Gpu,
+    tiled: &TiledDcsr,
+    b: &DenseMatrix,
+) -> Result<KernelRun, SimError> {
+    launch_packed(gpu, tiled, b, b.ncols(), Traversal::ColumnMajor)
+}
+
 /// B-stationary over offline-tiled DCSR with an explicit B-tile traversal
 /// order and `K` split into `tile_w`-wide output-column tiles — the
 /// experiment kernel behind §3.1.3's row- vs column-major comparison.
@@ -283,87 +371,7 @@ pub fn bstat_tiled_dcsr_traversal(
     b: &DenseMatrix,
     traversal: Traversal,
 ) -> Result<KernelRun, SimError> {
-    let shape = tiled.shape();
-    check_dims(shape, b, tiled.tile_width())?;
-    let n = shape.nrows;
-    let k = b.ncols();
-    let tile_w = tiled.tile_width();
-    let kc_tiles = k.div_ceil(tile_w).max(1);
-    let a_dev = TiledDcsrDevice::upload(gpu, tiled);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
-
-    let mut c = DenseMatrix::zeros(n, k);
-    let nstrips = tiled.num_strips();
-    let tiles_per_strip = tiled.tiles_per_strip();
-    let num_blocks = nstrips * kc_tiles;
-    let shared = tile_w * tile_w * WORD as usize;
-    let mut acc = nmt_engine::mem::take_val(true, tile_w);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        // Block order implements the traversal.
-        let (s, kc) = match traversal {
-            Traversal::RowMajor => (ctx.block_id / kc_tiles, ctx.block_id % kc_tiles),
-            Traversal::ColumnMajor => (ctx.block_id % nstrips, ctx.block_id / nstrips),
-        };
-        let warp = ctx.warp_size();
-        let k_lo = kc * tile_w;
-        let k_hi = (k_lo + tile_w).min(k);
-        let kw = k_hi - k_lo;
-        // Load the (s, kc) tile of B into shared memory.
-        let first_width = tiled.strips()[s].first().map_or(tile_w, |t| t.width);
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
-        for i in 0..b_rows {
-            let (off, bytes) = b_dev.row_segment((s * tile_w + i) as u64, k_lo as u64, kw as u64);
-            ctx.ld_global(&b_dev.buf, off, bytes, false);
-            ctx.shared_op(bytes, warp.min(kw));
-        }
-        for t in 0..tiles_per_strip {
-            let tile = &tiled.strips()[s][t];
-            let (off, len) = a_dev.offsets[s][t];
-            let dir_bytes = 8.min(a_dev.data.len);
-            ctx.ld_global(
-                &a_dev.data,
-                off.min(a_dev.data.len - dir_bytes),
-                dir_bytes,
-                false,
-            );
-            if len > 0 {
-                ctx.ld_global(&a_dev.data, off, len, false);
-            }
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                acc.clear();
-                acc.resize(kw, 0.0);
-                for e in lo..hi {
-                    let col = (tile.col_start + tile.colidx[e]) as usize;
-                    let v = tile.values[e];
-                    ctx.warp_instr(InstrClass::Integer, kw.min(warp), 1);
-                    let mut x = 0;
-                    while x < kw {
-                        let chunk = (kw - x).min(warp);
-                        ctx.shared_op(chunk as u64 * WORD, chunk);
-                        ctx.fma(chunk, 1);
-                        let brow = b.row(col);
-                        for j in x..x + chunk {
-                            acc[j] += v * brow[k_lo + j];
-                        }
-                        x += chunk;
-                    }
-                }
-                // Atomic update of this row's kc column slice.
-                let (off, bytes) = c_dev.row_segment(global_row as u64, k_lo as u64, kw as u64);
-                ctx.atomic_add_global(&c_dev.buf, off, bytes);
-                let out = c.row_mut(global_row);
-                for (j, a) in acc.iter().enumerate() {
-                    out[k_lo + j] += a;
-                }
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(true, acc);
-    Ok(KernelRun { c, stats })
+    launch_packed(gpu, tiled, b, tiled.tile_width(), traversal)
 }
 
 /// Result of the online kernel: the run plus the engine activity.
@@ -411,16 +419,14 @@ pub fn bstat_tiled_dcsr_online_obs(
     check_dims(shape, b, tile_w)?;
     let n = shape.nrows;
     let k = b.ncols();
-    let a_dev = CscDevice::upload(gpu, csc);
-    let b_dev = DenseDevice::upload(gpu, b, TrafficClass::MatB);
-    let c_dev = DenseDevice::upload(gpu, &DenseMatrix::zeros(n, k), TrafficClass::MatC);
+    let dev = CscDevice::upload(gpu, csc);
 
     // Pre-run the functional converters: one engine per FB partition,
     // strips sharded rayon-parallel across the farm (§6.1). The farm's
     // reduction is partition-index-ordered, so `engine` and every obs
     // counter below are byte-identical at any thread count.
     // The farm validates the tile geometry, so a zero height surfaces as
-    // `BadConfig` here before `tile_count` could assert on it.
+    // `BadConfig` here.
     let farm_cfg =
         FarmConfig::for_partitions(gpu.config().num_partitions).with_fault(gpu.fault_plan());
     let farm = convert_matrix_farm_obs(csc.view(), tile_w, tile_h, farm_cfg, obs).map_err(
@@ -432,7 +438,6 @@ pub fn bstat_tiled_dcsr_online_obs(
         },
     )?;
     let nstrips = nmt_formats::strip_count(shape.ncols, tile_w);
-    let tiles_per_strip = nmt_formats::tile_count(n, tile_h);
     let engine = farm.stats;
     {
         let mut convert_span = obs.span("engine.convert");
@@ -474,82 +479,22 @@ pub fn bstat_tiled_dcsr_online_obs(
     publish_farm(obs, &farm);
     let tiles = farm.strips;
 
-    let mut c = DenseMatrix::zeros(n, k);
     // One block per strip, exactly the device loop of Figure 11: the block
     // initializes col_frontier, loads its B tile once, then issues one
     // GetDCSRTile per DCSR_HEIGHT rows.
-    let num_blocks = nstrips;
-    let shared = tile_w * k * WORD as usize;
     let launch_span = obs.span("kernels.launch");
     obs.flight
         .record(nmt_obs::EventSite::KernelLaunch, 0, nstrips as u64, k as u64);
-    let mut acc = nmt_engine::mem::take_val(farm_cfg.pool, k);
-    let stats = gpu.launch(shared, num_blocks, |ctx| {
-        let s = ctx.block_id;
-        let first_width = tiles[s].first().map_or(tile_w, |t| t.width);
-        let b_rows = first_width.min(b.nrows().saturating_sub(s * tile_w));
-        load_b_tile(ctx, &b_dev, s * tile_w, b_rows, k);
-        // Engine loads boundary/frontier pointers from col_ptr once per
-        // strip (Figure 14 ❶).
-        ctx.ld_global(
-            &a_dev.colptr,
-            (s * tile_w) as u64 * WORD,
-            (first_width as u64 + 1) * WORD,
-            false,
-        );
-        let mut consumed_before = 0u64;
-        #[allow(clippy::needless_range_loop)] // t also names the tile for requests
-        for t in 0..tiles_per_strip {
-            let tile = &tiles[s][t];
-            // GetDCSRTile request: much like a warp vector store (Fig. 11).
-            ctx.warp_instr(InstrClass::Memory, ctx.warp_size(), 1);
-            // Engine streams the tile's CSC elements from DRAM inside the
-            // FB partition: rowidx + value per element. The strip's
-            // elements are contiguous; this tile consumes the next `nnz`
-            // of them (sequential frontier advance).
-            if tile.nnz() > 0 {
-                let first = csc.colptr()[s * tile_w] as u64;
-                let lo = (first + consumed_before) * WORD;
-                let bytes = tile.nnz() as u64 * WORD;
-                ctx.ld_global(&a_dev.rowidx, lo, bytes, false);
-                ctx.ld_global(&a_dev.values, lo, bytes, false);
-                consumed_before += tile.nnz() as u64;
-            }
-            // Converted rows arrive over the Xbar into shared memory: they
-            // consume crossbar bandwidth and issue slots, but no DRAM
-            // bandwidth — the engine's whole point.
-            let stream_bytes = (tile.metadata_bytes() + tile.data_bytes()) as u64;
-            ctx.xbar_stream(stream_bytes);
-            for i in 0..tile.nnz_rows() {
-                let (lo, hi) = (tile.rowptr[i] as usize, tile.rowptr[i + 1] as usize);
-                ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
-                let global_row = (tile.row_start + tile.rowidx[i]) as usize;
-                process_tile_row(
-                    ctx,
-                    &mut c,
-                    &c_dev,
-                    b,
-                    global_row,
-                    &tile.colidx[lo..hi],
-                    tile.col_start,
-                    &tile.values[lo..hi],
-                    k,
-                    &mut acc,
-                );
-            }
-        }
-    })?;
-    nmt_engine::mem::put_val(farm_cfg.pool, acc);
+    let source = TileSource::Engine { csc, dev };
+    let order = Traversal::ColumnMajor;
+    let run = launch_dcsr_tiles(gpu, &tiles, &source, (b, n), (tile_w, k), order)?;
     // The freshly-minted tiles have been consumed; hand their buffers back
     // so the next online conversion of a similar matrix allocates nothing.
     if farm_cfg.pool {
         nmt_engine::mem::recycle_strips(tiles);
     }
     drop(launch_span);
-    Ok(OnlineRun {
-        run: KernelRun { c, stats },
-        engine,
-    })
+    Ok(OnlineRun { run, engine })
 }
 
 #[cfg(test)]
@@ -596,8 +541,81 @@ mod tests {
         assert!(online.run.c.approx_eq(&host::spmm_csr(&a, &b), 1e-4));
         let tiled = TiledDcsr::from_csr(&a, 16, 16).unwrap();
         let offline = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
-        assert!(online.run.c.approx_eq(&offline.c, 1e-5));
+        // The same tiles through the same row loop: C agrees bit for bit,
+        // and only the per-tile DRAM charge may differ.
+        assert_eq!(bits(&online.run.c), bits(&offline.c));
+        assert_eq!(online.run.stats.flops, offline.stats.flops);
+        assert_eq!(online.run.stats.atomics, offline.stats.atomics);
         assert_eq!(online.engine.elements as usize, a.nnz());
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_csr_rejects_zero_tile_height() {
+        // `TiledCsr` carries no tile height; a zero one is a typed error
+        // for this matrix, not a panic in `tile_count`.
+        let tiled = TiledCsr::from_csr(&matrix(32, 0.1, 5), 16).unwrap();
+        let b = random_dense(32, 4, 6);
+        match bstat_tiled_csr(&mut gpu(), &tiled, &b, 0) {
+            Err(SimError::ShapeMismatch { .. }) => {}
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        }
+    }
+
+    /// One row through a one-block launch, charged per row by
+    /// `process_tile_row` or per element and chunk by the loop it batches.
+    fn one_row(k: usize, row_len: usize, batched: bool) -> KernelRun {
+        let (n, r) = (16, 3);
+        let b = random_dense(n, k, 40);
+        let cols: Vec<u32> = (0..row_len as u32).map(|i| (5 * i + 3) % 16).collect();
+        let vals: Vec<f32> = (0..row_len).map(|i| 0.25 + i as f32).collect();
+        let mut gpu = gpu();
+        let mut ops = Operands::upload(&mut gpu, &b, n, k);
+        let stats = gpu.launch(0, 1, |ctx| {
+            if batched {
+                return ops.process_tile_row(ctx, r, (&cols, 0, &vals), (0, k));
+            }
+            let (warp, mut acc) = (ctx.warp_size(), vec![0.0; k]);
+            for (&col, &v) in cols.iter().zip(&vals) {
+                ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
+                for kc in (0..k).step_by(warp) {
+                    let chunk = (k - kc).min(warp);
+                    ctx.shared_op(chunk as u64 * WORD, chunk);
+                    ctx.fma(chunk, 1);
+                    let brow = &b.row(col as usize)[kc..kc + chunk];
+                    for (a, &bv) in acc[kc..kc + chunk].iter_mut().zip(brow) {
+                        *a += v * bv;
+                    }
+                }
+            }
+            let (off, bytes) = ops.c_dev.row_segment(r as u64, 0, k as u64);
+            ctx.atomic_add_global(&ops.c_dev.buf, off, bytes);
+            for (o, a) in ops.c.row_mut(r).iter_mut().zip(&acc) {
+                *o += a;
+            }
+        });
+        ops.finish(stats.unwrap())
+    }
+
+    #[test]
+    fn per_row_accounting_equals_per_element_reference() {
+        let warp = GpuConfig::test_small().warp_size;
+        for k in [0, 1, 31, 32, 33, 64, 100] {
+            for row_len in [0, 1, 7] {
+                let (got, want) = (one_row(k, row_len, true), one_row(k, row_len, false));
+                let (g, w) = (&got.stats, &want.stats);
+                let case = format!("k={k} row_len={row_len}");
+                assert_eq!(g.warp_exec, w.warp_exec, "{case}");
+                assert_eq!((g.flops, g.atomics), (w.flops, w.atomics), "{case}");
+                let issued = |s: &KernelStats| s.warp_exec.warp_instructions(warp);
+                assert_eq!(issued(g), issued(w), "{case}");
+                assert_eq!(g.t_compute_ns, w.t_compute_ns, "{case}");
+                assert_eq!(bits(&got.c), bits(&want.c), "{case}");
+            }
+        }
     }
 
     #[test]
@@ -749,15 +767,6 @@ mod tests {
         assert_eq!(with_obs.engine.elements, plain.engine.elements);
         assert_eq!(with_obs.engine.lane_slots, plain.engine.lane_slots);
     }
-}
-
-#[cfg(test)]
-mod regression_tests {
-    use super::*;
-    use crate::KernelRun;
-    use nmt_formats::Csr;
-    use nmt_matgen::random_dense;
-    use nmt_sim::GpuConfig;
 
     /// Review regression: the offline/traversal kernels' tile-directory
     /// read used to underflow on an all-empty matrix.
@@ -766,11 +775,10 @@ mod regression_tests {
         let a = Csr::new(32, 32, vec![0; 33], vec![], vec![]).unwrap();
         let tiled = TiledDcsr::from_csr(&a, 16, 16).unwrap();
         let b = random_dense(32, 8, 1);
-        let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        let run: KernelRun = bstat_tiled_dcsr_offline(&mut gpu, &tiled, &b).unwrap();
+        let run = bstat_tiled_dcsr_offline(&mut gpu(), &tiled, &b).unwrap();
         assert!(run.c.as_slice().iter().all(|&v| v == 0.0));
-        let mut gpu = Gpu::new(GpuConfig::test_small()).unwrap();
-        let run = bstat_tiled_dcsr_traversal(&mut gpu, &tiled, &b, Traversal::ColumnMajor).unwrap();
+        let order = Traversal::ColumnMajor;
+        let run = bstat_tiled_dcsr_traversal(&mut gpu(), &tiled, &b, order).unwrap();
         assert!(run.c.as_slice().iter().all(|&v| v == 0.0));
     }
 }

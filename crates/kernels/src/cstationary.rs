@@ -11,10 +11,10 @@
 use crate::device::{CsrDevice, DcsrDevice, DenseDevice, WORD};
 use crate::KernelRun;
 use nmt_formats::{Csr, Dcsr, DenseMatrix, SparseMatrix};
-use nmt_sim::{Gpu, InstrClass, SimError, TrafficClass};
+use nmt_sim::{BlockCtx, Buffer, Gpu, InstrClass, SimError, TrafficClass};
 
 /// Rows (= warps) per thread block for the row-per-warp kernels.
-const WARPS_PER_BLOCK: usize = 8;
+pub(crate) const WARPS_PER_BLOCK: usize = 8;
 
 /// The cuSPARSE v9 `csrmm` stand-in — the paper's baseline (speedup = 1).
 ///
@@ -84,6 +84,53 @@ pub fn csrmm_cusparse(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<KernelR
     Ok(KernelRun { c, stats })
 }
 
+/// The row body of both row-per-warp kernels: stream the row's
+/// `colidx`/`values` from element `first`, FMA it into C row `r`
+/// ([`fma_b_rows`]), then write that row once.
+fn row_per_warp_body(
+    ctx: &mut BlockCtx<'_>,
+    (colidx, values, first): (&Buffer, &Buffer, u64),
+    (cols, vals): (&[u32], &[f32]),
+    b: (&DenseMatrix, &DenseDevice),
+    (c, c_dev): (&mut DenseMatrix, &DenseDevice),
+    r: usize,
+) {
+    let len = cols.len() as u64 * WORD;
+    ctx.ld_global(colidx, first * WORD, len, false);
+    ctx.ld_global(values, first * WORD, len, false);
+    fma_b_rows(ctx, (cols, vals), b, c.row_mut(r));
+    let (off, bytes) = c_dev.row_segment(r as u64, 0, b.0.ncols() as u64);
+    ctx.st_global(&c_dev.buf, off, bytes);
+}
+
+/// FMA each non-zero of a row against its B row into `out`. B rows are
+/// fetched in warp-wide chunks; each chunk is a dependent load (its
+/// address comes from `colidx`, the §2 indirection), charged as issued.
+pub(crate) fn fma_b_rows(
+    ctx: &mut BlockCtx<'_>,
+    (cols, vals): (&[u32], &[f32]),
+    (b, b_dev): (&DenseMatrix, &DenseDevice),
+    out: &mut [f32],
+) {
+    let warp = ctx.warp_size();
+    let k = b.ncols();
+    for (&col, &v) in cols.iter().zip(vals) {
+        ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
+        let mut kc = 0;
+        while kc < k {
+            let chunk = (k - kc).min(warp);
+            let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
+            ctx.ld_global(&b_dev.buf, off, bytes, true);
+            ctx.fma(chunk, 1);
+            let brow = b.row(col as usize);
+            for x in kc..kc + chunk {
+                out[x] += v * brow[x];
+            }
+            kc += chunk;
+        }
+    }
+}
+
 /// The best untiled CSR kernel: C-stationary, row-per-warp, row-major B.
 ///
 /// Per row: read `rowptr[r..=r+1]`, stream the row's `colidx`/`values`,
@@ -101,7 +148,6 @@ pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Ker
     let mut c = DenseMatrix::zeros(n, k);
     let num_blocks = n.div_ceil(WARPS_PER_BLOCK).max(1);
     let stats = gpu.launch(0, num_blocks, |ctx| {
-        let warp = ctx.warp_size();
         let row_lo = ctx.block_id * WARPS_PER_BLOCK;
         let row_hi = (row_lo + WARPS_PER_BLOCK).min(n);
         for r in row_lo..row_hi {
@@ -115,32 +161,8 @@ pub fn csrmm_row_per_warp(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Ker
                 ctx.warp_instr(InstrClass::Integer, 1, 1);
                 continue;
             }
-            // Stream the row's metadata and values (coalesced).
-            let lo = (a.rowptr()[r] as u64) * WORD;
-            let len = cols.len() as u64 * WORD;
-            ctx.ld_global(&a_dev.colidx, lo, len, false);
-            ctx.ld_global(&a_dev.values, lo, len, false);
-            let out = c.row_mut(r);
-            for (&col, &v) in cols.iter().zip(vals) {
-                ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-                // Fetch the B row in warp-wide column chunks; the address
-                // depends on colidx -> dependent load.
-                let mut kc = 0;
-                while kc < k {
-                    let chunk = (k - kc).min(warp);
-                    let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
-                    ctx.ld_global(&b_dev.buf, off, bytes, true);
-                    ctx.fma(chunk, 1);
-                    let brow = b.row(col as usize);
-                    for i in kc..kc + chunk {
-                        out[i] += v * brow[i];
-                    }
-                    kc += chunk;
-                }
-            }
-            // Single write of the finished C row.
-            let (off, bytes) = c_dev.row_segment(r as u64, 0, k as u64);
-            ctx.st_global(&c_dev.buf, off, bytes);
+            let elems = (&a_dev.colidx, &a_dev.values, a.rowptr()[r] as u64);
+            row_per_warp_body(ctx, elems, (cols, vals), (b, &b_dev), (&mut c, &c_dev), r);
         }
     })?;
     Ok(KernelRun { c, stats })
@@ -235,7 +257,6 @@ pub fn dcsrmm_row_per_warp(
     let dense_rows = a.num_dense_rows();
     let num_blocks = dense_rows.div_ceil(WARPS_PER_BLOCK).max(1);
     let stats = gpu.launch(0, num_blocks, |ctx| {
-        let warp = ctx.warp_size();
         let i_lo = ctx.block_id * WARPS_PER_BLOCK;
         let i_hi = (i_lo + WARPS_PER_BLOCK).min(dense_rows);
         for i in i_lo..i_hi {
@@ -244,28 +265,9 @@ pub fn dcsrmm_row_per_warp(
             ctx.ld_global(&a_dev.rowptr, i as u64 * WORD, 2 * WORD, false);
             ctx.warp_instr(InstrClass::ControlFlow, 1, 1);
             let (r, cols, vals) = a.dense_row(i);
-            let lo = (a.rowptr()[i] as u64) * WORD;
-            let len = cols.len() as u64 * WORD;
-            ctx.ld_global(&a_dev.colidx, lo, len, false);
-            ctx.ld_global(&a_dev.values, lo, len, false);
-            let out = c.row_mut(r as usize);
-            for (&col, &v) in cols.iter().zip(vals) {
-                ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-                let mut kc = 0;
-                while kc < k {
-                    let chunk = (k - kc).min(warp);
-                    let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, chunk as u64);
-                    ctx.ld_global(&b_dev.buf, off, bytes, true);
-                    ctx.fma(chunk, 1);
-                    let brow = b.row(col as usize);
-                    for x in kc..kc + chunk {
-                        out[x] += v * brow[x];
-                    }
-                    kc += chunk;
-                }
-            }
-            let (off, bytes) = c_dev.row_segment(r as u64, 0, k as u64);
-            ctx.st_global(&c_dev.buf, off, bytes);
+            let elems = (&a_dev.colidx, &a_dev.values, a.rowptr()[i] as u64);
+            let r = r as usize;
+            row_per_warp_body(ctx, elems, (cols, vals), (b, &b_dev), (&mut c, &c_dev), r);
         }
     })?;
     Ok(KernelRun { c, stats })

@@ -13,8 +13,12 @@
 //! | [`bstat_tiled_csr`] | B-stationary | tiled CSR | Fig. 7's inactive-thread foil |
 //! | [`bstat_tiled_dcsr_offline`] | B-stationary | tiled DCSR (DRAM) | 2.03× offline config (§5.2) |
 //! | [`bstat_tiled_dcsr_online`] | B-stationary | CSC + engine | **the proposal** (blue dots) |
+//! | [`bstat_tiled_dcsr_traversal`] | B-stationary | tiled DCSR (DRAM) | §3.1.3 row- vs column-major order |
 //! | [`astat_tiled`] | A-stationary | tiled DCSR | Table 1 completeness |
 //! | [`csrmm_merge_based`] | C-stationary | untiled CSR | merge-based balance (ref. \[21\], §5.2) |
+//!
+//! The B-stationary DCSR kernels are one launch told apart by the block
+//! order ([`Traversal`]) and the tile source (DRAM or engine).
 //!
 //! All kernels functionally compute `C = A × B` (verified against
 //! [`host`]) while recording traffic, warp occupancy and timing.

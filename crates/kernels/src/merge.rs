@@ -14,13 +14,11 @@
 //! zero weight). Rows split across warp boundaries commit their partial
 //! sums with atomics — the merge-path "carry-out" fixup.
 
+use crate::cstationary::{fma_b_rows, WARPS_PER_BLOCK};
 use crate::device::{CsrDevice, DenseDevice, WORD};
 use crate::KernelRun;
 use nmt_formats::{Csr, DenseMatrix, SparseMatrix};
 use nmt_sim::{Gpu, InstrClass, SimError, TrafficClass};
-
-/// Warps per thread block (matches the row-per-warp kernels).
-const WARPS_PER_BLOCK: usize = 8;
 
 /// Merge-based C-stationary CSR SpMM: element-balanced warp assignment
 /// with atomic carry-out for rows that straddle warp boundaries.
@@ -42,7 +40,6 @@ pub fn csrmm_merge_based(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Kern
     let mut c = DenseMatrix::zeros(n, k);
     let rowptr = a.rowptr();
     let stats = gpu.launch(0, num_blocks, |ctx| {
-        let warp = ctx.warp_size();
         for w in 0..WARPS_PER_BLOCK {
             let warp_id = ctx.block_id * WARPS_PER_BLOCK + w;
             let elem_lo = warp_id * chunk;
@@ -76,23 +73,8 @@ pub fn csrmm_merge_based(gpu: &mut Gpu, a: &Csr, b: &DenseMatrix) -> Result<Kern
                 let seg_started_here = e == rowptr[row] as usize || e == elem_lo;
                 debug_assert!(seg_started_here);
                 let mut acc = vec![0.0f32; k];
-                for j in e..seg_end {
-                    let col = a.colidx()[j] as usize;
-                    let v = a.values()[j];
-                    ctx.warp_instr(InstrClass::Integer, k.min(warp), 1);
-                    let mut kc = 0;
-                    while kc < k {
-                        let cw = (k - kc).min(warp);
-                        let (off, bytes) = b_dev.row_segment(col as u64, kc as u64, cw as u64);
-                        ctx.ld_global(&b_dev.buf, off, bytes, true);
-                        ctx.fma(cw, 1);
-                        let brow = b.row(col);
-                        for x in kc..kc + cw {
-                            acc[x] += v * brow[x];
-                        }
-                        kc += cw;
-                    }
-                }
+                let seg = (&a.colidx()[e..seg_end], &a.values()[e..seg_end]);
+                fma_b_rows(ctx, seg, (b, &b_dev), &mut acc);
                 // Row complete within this warp: plain store. Row split
                 // across warps: atomic carry-out.
                 let whole_row =
