@@ -136,27 +136,26 @@ fn run_benches() -> Result<(), String> {
 
     let mut rows = Vec::new();
     let mut measured: BTreeMap<String, AllocBudget> = BTreeMap::new();
-    let mut add_row =
-        |name: &str, stats: nmt_bench::BenchStats, alloc: (u64, u64)| {
-            rows.push(vec![
-                name.to_string(),
-                format!("{:.1}", stats.median_ns / 1e3),
-                format!("{:.1}", stats.ci_lo_ns / 1e3),
-                format!("{:.1}", stats.ci_hi_ns / 1e3),
-                format!("{:.1}", stats.mad_ns / 1e3),
-                format!("{}", stats.samples),
-                format!("{}", stats.rejected),
-                format!("{}", alloc.0),
-                format!("{:.1}", alloc.1 as f64 / 1024.0),
-            ]);
-            measured.insert(
-                name.to_string(),
-                AllocBudget {
-                    count: alloc.0,
-                    bytes: alloc.1,
-                },
-            );
-        };
+    let mut add_row = |name: &str, stats: nmt_bench::BenchStats, alloc: (u64, u64)| {
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.1}", stats.median_ns / 1e3),
+            format!("{:.1}", stats.ci_lo_ns / 1e3),
+            format!("{:.1}", stats.ci_hi_ns / 1e3),
+            format!("{:.1}", stats.mad_ns / 1e3),
+            format!("{}", stats.samples),
+            format!("{}", stats.rejected),
+            format!("{}", alloc.0),
+            format!("{:.1}", alloc.1 as f64 / 1024.0),
+        ]);
+        measured.insert(
+            name.to_string(),
+            AllocBudget {
+                count: alloc.0,
+                bytes: alloc.1,
+            },
+        );
+    };
 
     // 1. The conversion farm: CSC -> tiled DCSR across FB partitions.
     // The alloc pass recycles each run's output so the pools reach their
@@ -198,17 +197,13 @@ fn run_benches() -> Result<(), String> {
     let stats = run(&cfg, || {
         let mut scratch = MinScratch::new();
         for _ in 0..1024 {
-            std::hint::black_box(
-                tree.find_min_in(std::hint::black_box(&coords), &mut scratch),
-            );
+            std::hint::black_box(tree.find_min_in(std::hint::black_box(&coords), &mut scratch));
         }
     });
     let alloc = measure_alloc(|| {
         let mut scratch = MinScratch::new();
         for _ in 0..1024 {
-            std::hint::black_box(
-                tree.find_min_in(std::hint::black_box(&coords), &mut scratch),
-            );
+            std::hint::black_box(tree.find_min_in(std::hint::black_box(&coords), &mut scratch));
         }
     });
     add_row("find_min_x1024", stats, alloc);
@@ -254,8 +249,15 @@ fn run_benches() -> Result<(), String> {
 
     print_table(
         &[
-            "target", "median_us", "ci_lo_us", "ci_hi_us", "mad_us", "kept", "rejected",
-            "alloc_n", "alloc_kb",
+            "target",
+            "median_us",
+            "ci_lo_us",
+            "ci_hi_us",
+            "mad_us",
+            "kept",
+            "rejected",
+            "alloc_n",
+            "alloc_kb",
         ],
         &rows,
     );

@@ -14,7 +14,9 @@ fn main() {
     );
 
     // --- Throughput demand ---
-    let tree = ComparatorTree::new(64).expect("64 lanes is the engine width").structure();
+    let tree = ComparatorTree::new(64)
+        .expect("64 lanes is the engine width")
+        .structure();
     let t32 = EngineTiming::fp32(13.6, &tree);
     let t64 = EngineTiming::fp64(13.6, &tree);
     println!("--- throughput demand (one HBM2 pseudo channel = 13.6 GB/s) ---");

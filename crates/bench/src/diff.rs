@@ -1,52 +1,45 @@
-//! Forensic ledger diffing: `nmt-cli diff <A> <B>`.
+//! Ledger comparison: `nmt-cli diff <A> <B>`, and the walk the gates
+//! read their verdicts from.
 //!
-//! Where [`Ledger::gate`](crate::Ledger::gate) answers *"did this run
-//! regress past tolerance?"* with a yes/no, the differ answers *"what
-//! moved, and who did it?"* It attributes geometric-mean speedup movement
-//! to individual matrices (each matrix's share of `Δlog G` — the log of
-//! the geomean is the mean of per-matrix logs, so the shares sum exactly
-//! to the headline movement), aggregates the movement by chosen dataflow
-//! class, and — when both ledgers carry a schema-v4 `perf` section —
-//! flags wall-time deltas that clear the baseline's bootstrap confidence
-//! interval, per matrix and per pipeline phase.
+//! This is the only code that pairs two ledgers. [`diff_ledgers`] runs
+//! the walk at zero margin and answers *"what moved, and who did it?"* It
+//! attributes geometric-mean speedup movement to individual matrices
+//! (each matrix's share of `Δlog G` — the log of the geomean is the mean
+//! of per-matrix logs, so the shares sum exactly to the headline
+//! movement), aggregates it by chosen dataflow class, and — when both
+//! ledgers carry a schema-v4 `perf` section — flags wall-time deltas that
+//! clear the baseline's bootstrap confidence interval per matrix and
+//! phase, per-phase allocation increases, and baseline perf matrices B
+//! lacks. [`Ledger::perf_gate`](crate::Ledger::perf_gate) runs the same
+//! walk at the gate's wider margins: its `--perf-margin` on the CI bound
+//! plus fixed slacks.
 //!
-//! CI-significance is deliberately strict by default
-//! ([`DiffOptions::default`] has zero margin and zero slack): a median is
-//! flagged as a regression exactly when it lies **above** the baseline's
-//! CI upper bound (and as an improvement when below the lower bound).
-//! Identical ledgers therefore flag nothing — a median always lies inside
-//! its own CI — while a doctored timing column lights up precisely the
-//! doctored matrices and phases.
+//! At zero margin a median is flagged exactly when it lies **above** the
+//! baseline's CI upper bound (an improvement when below the lower bound):
+//! identical ledgers flag nothing — a median always lies inside its own
+//! CI — while a doctored timing column lights up precisely the doctored
+//! matrices and phases.
 
-use crate::ledger::{Ledger, PerfSection};
+use crate::geomean;
+use crate::ledger::{Ledger, LedgerRow, MatrixPerf, PerfSection};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Significance thresholds for the perf comparison. Defaults to zero
-/// margin / zero slack: anything outside the baseline CI is reported.
-/// Loosen for cross-machine comparisons (the gate's noise-aware
-/// tolerances live in [`crate::PerfTolerance`]; these are intentionally
-/// separate — the differ reports, the gate judges).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffOptions {
-    /// Relative headroom above/below the baseline CI bound (0.1 = 10%).
-    pub margin_frac: f64,
-    /// Absolute headroom, ns.
-    pub abs_slack_ns: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            margin_frac: 0.0,
-            abs_slack_ns: 0.0,
-        }
-    }
-}
+/// The gate's absolute headroom above the baseline CI, ns: keeps
+/// microsecond-scale phases (where a scheduler blip is a large fraction)
+/// from firing the gate.
+const GATE_SLACK_NS: f64 = 100_000.0;
+/// The gate's relative headroom above the baseline per-phase allocation
+/// count and bytes. Allocation counts are near-deterministic (pools are
+/// reset before the measurement pass), but steady-state shelving can
+/// differ slightly run to run.
+const GATE_ALLOC_MARGIN_FRAC: f64 = 0.5;
+/// The gate's absolute headroom per phase: allocation count, bytes.
+const GATE_ALLOC_SLACK: [f64; 2] = [64.0, 65_536.0];
 
 /// Headline geomean movement between the two ledgers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GeomeanDiff {
     /// Geomean speedup in ledger A.
     pub a: f64,
@@ -107,7 +100,8 @@ pub struct PhaseDelta {
 }
 
 /// One CI-significant wall-time delta: B's median cleared A's bootstrap
-/// confidence interval (plus the configured margin/slack).
+/// confidence interval (plus the gate's margin and slack, when the gate
+/// runs the walk).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfFlag {
     /// Suite matrix name.
@@ -116,17 +110,40 @@ pub struct PerfFlag {
     pub phase: String,
     /// A's median, ns.
     pub a_median_ns: f64,
-    /// The CI bound B had to clear (upper for regressions, lower for
-    /// improvements), ns.
-    pub a_ci_bound_ns: f64,
+    /// A's CI lower bound, ns.
+    pub a_ci_lo_ns: f64,
+    /// A's CI upper bound, ns.
+    pub a_ci_hi_ns: f64,
+    /// The limit B's median cleared: the CI bound widened by margin and
+    /// slack (upper for regressions, lower for improvements), ns.
+    pub limit_ns: f64,
     /// B's median, ns.
     pub b_median_ns: f64,
     /// `b_median_ns / a_median_ns`.
     pub ratio: f64,
 }
 
-/// The full forensic comparison. Serializes for `--json`.
+/// One per-phase allocation increase: B's mean allocations per iteration
+/// exceed A's (by more than the gate's margin and slack, when the gate
+/// runs the walk).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AllocFlag {
+    /// Suite matrix name.
+    pub matrix: String,
+    /// Phase name.
+    pub phase: String,
+    /// `count` (allocations) or `bytes` (bytes allocated).
+    pub resource: String,
+    /// A's mean, per iteration.
+    pub a: f64,
+    /// B's mean, per iteration.
+    pub b: f64,
+    /// The limit B exceeded: A's mean widened by margin and slack.
+    pub limit: f64,
+}
+
+/// The full forensic comparison. Serializes for `--json`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DiffReport {
     /// Identity fields that differ (seed, scale, fault plan, …) — the
     /// comparison still runs, but these explain wholesale movement.
@@ -157,14 +174,21 @@ pub struct DiffReport {
     pub perf_regressions: Vec<PerfFlag>,
     /// CI-significant speedups in B, best ratio first.
     pub perf_improvements: Vec<PerfFlag>,
+    /// Matrices with a perf record in A but none in B.
+    pub perf_only_in_a: Vec<String>,
+    /// Per-phase allocation increases in B, in A's matrix and phase order.
+    pub alloc_regressions: Vec<AllocFlag>,
     /// Why the perf comparison was skipped, when it was.
     pub perf_note: Option<String>,
 }
 
 impl DiffReport {
-    /// Whether any CI-significant slowdown was flagged.
+    /// Whether B regressed on perf: a CI-significant slowdown, an
+    /// allocation increase, or a perf matrix A has and B lacks.
     pub fn has_regressions(&self) -> bool {
         !self.perf_regressions.is_empty()
+            || !self.alloc_regressions.is_empty()
+            || !self.perf_only_in_a.is_empty()
     }
 
     /// Serialize for `--json`.
@@ -237,24 +261,37 @@ impl DiffReport {
                         (p.ratio - 1.0) * 100.0
                     ));
                 }
-                if self.perf_regressions.is_empty() {
-                    out.push_str("perf: no CI-significant regressions\n");
-                } else {
+                let (ci, alloc) = (self.perf_regressions.len(), self.alloc_regressions.len());
+                let missing = self.perf_only_in_a.len();
+                match ci + alloc + missing {
+                    0 => out.push_str("perf: no regressions\n"),
+                    n => out.push_str(&format!(
+                        "perf: {n} regression(s) ({ci} CI-significant, {alloc} allocation, \
+                         {missing} missing from B):\n"
+                    )),
+                }
+                for f in &self.perf_regressions {
                     out.push_str(&format!(
-                        "perf: {} CI-significant regression(s):\n",
-                        self.perf_regressions.len()
+                        "  REGRESSED {:<24} {:<8} {:.0} ns -> {:.0} ns ({:.2}x, CI hi {:.0} ns)\n",
+                        f.matrix, f.phase, f.a_median_ns, f.b_median_ns, f.ratio, f.a_ci_hi_ns
                     ));
-                    for f in &self.perf_regressions {
-                        out.push_str(&format!(
-                            "  REGRESSED {:<24} {:<8} {:.0} ns -> {:.0} ns ({:.2}x, CI hi {:.0} ns)\n",
-                            f.matrix, f.phase, f.a_median_ns, f.b_median_ns, f.ratio, f.a_ci_bound_ns
-                        ));
-                    }
                 }
                 for f in &self.perf_improvements {
                     out.push_str(&format!(
                         "  improved  {:<24} {:<8} {:.0} ns -> {:.0} ns ({:.2}x, CI lo {:.0} ns)\n",
-                        f.matrix, f.phase, f.a_median_ns, f.b_median_ns, f.ratio, f.a_ci_bound_ns
+                        f.matrix, f.phase, f.a_median_ns, f.b_median_ns, f.ratio, f.a_ci_lo_ns
+                    ));
+                }
+                for f in &self.alloc_regressions {
+                    out.push_str(&format!(
+                        "  more allocation {:<24} {:<8} {}: {:.0} -> {:.0}\n",
+                        f.matrix, f.phase, f.resource, f.a, f.b
+                    ));
+                }
+                if !self.perf_only_in_a.is_empty() {
+                    out.push_str(&format!(
+                        "perf matrices only in A: {}\n",
+                        self.perf_only_in_a.join(", ")
                     ));
                 }
             }
@@ -263,42 +300,47 @@ impl DiffReport {
     }
 }
 
-/// Geometric mean of an iterator of positive values (1.0 when empty).
-fn geomean_of(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (sum / values.len() as f64).exp()
+/// The suite-identity fields, in the order notes and gates name them.
+fn identity(l: &Ledger) -> [(&'static str, String); 6] {
+    [
+        ("scale", l.scale.clone()),
+        ("seed", l.seed.to_string()),
+        ("k", l.k.to_string()),
+        ("tile", l.tile.to_string()),
+        ("fault seed", format!("{:?}", l.fault_seed)),
+        ("fault rate (ppm)", format!("{:?}", l.fault_rate_ppm)),
+    ]
+}
+
+/// The identity fields on which `a` and `b` differ, as `(field, a, b)`.
+pub(crate) fn identity_drift(a: &Ledger, b: &Ledger) -> Vec<(&'static str, String, String)> {
+    identity(a)
+        .into_iter()
+        .zip(identity(b))
+        .filter(|((_, va), (_, vb))| va != vb)
+        .map(|((what, va), (_, vb))| (what, va, vb))
+        .collect()
 }
 
 /// Compare two ledgers. Both are of this build's schema version
 /// ([`Ledger::from_json`] refuses any other), so every identity
 /// difference becomes a note in the report.
-pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
-    let mut identity_notes = Vec::new();
-    if a.scale != b.scale {
-        identity_notes.push(format!("scale {} vs {}", a.scale, b.scale));
-    }
-    if a.seed != b.seed {
-        identity_notes.push(format!("seed {} vs {}", a.seed, b.seed));
-    }
-    if a.k != b.k {
-        identity_notes.push(format!("k {} vs {}", a.k, b.k));
-    }
-    if a.tile != b.tile {
-        identity_notes.push(format!("tile {} vs {}", a.tile, b.tile));
-    }
-    if a.fault_seed != b.fault_seed || a.fault_rate_ppm != b.fault_rate_ppm {
-        identity_notes.push(format!(
-            "fault plan {:?}@{:?} vs {:?}@{:?}",
-            a.fault_seed, a.fault_rate_ppm, b.fault_seed, b.fault_rate_ppm
-        ));
-    }
+pub fn diff_ledgers(a: &Ledger, b: &Ledger) -> DiffReport {
+    walk(a, b, None)
+}
 
-    let rows_a: BTreeMap<&str, &crate::ledger::LedgerRow> =
+/// The one walk over two ledgers. With `gate_margin` B's perf is held to
+/// A's at that relative margin on the CI bound plus the gate's fixed
+/// slacks; without it (the diff) at zero margin and slack.
+pub(crate) fn walk(a: &Ledger, b: &Ledger, gate_margin: Option<f64>) -> DiffReport {
+    let identity_notes = identity_drift(a, b)
+        .into_iter()
+        .map(|(what, va, vb)| format!("{what} {va} vs {vb}"))
+        .collect();
+
+    let rows_a: BTreeMap<&str, &LedgerRow> =
         a.rows.iter().map(|r| (r.matrix.as_str(), r)).collect();
-    let rows_b: BTreeMap<&str, &crate::ledger::LedgerRow> =
+    let rows_b: BTreeMap<&str, &LedgerRow> =
         b.rows.iter().map(|r| (r.matrix.as_str(), r)).collect();
     let only_in_a: Vec<String> = rows_a
         .keys()
@@ -312,7 +354,7 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
         .collect();
 
     // Per-matrix movement over the common set; shares of dln(geomean).
-    let common: Vec<(&crate::ledger::LedgerRow, &crate::ledger::LedgerRow)> = rows_a
+    let common: Vec<(&LedgerRow, &LedgerRow)> = rows_a
         .iter()
         .filter_map(|(k, ra)| rows_b.get(k).map(|rb| (*ra, *rb)))
         .collect();
@@ -349,8 +391,8 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
     let classes: Vec<ClassDelta> = class_members
         .into_iter()
         .map(|(class, (sa, sb))| {
-            let ga = geomean_of(&sa);
-            let gb = geomean_of(&sb);
+            let ga = geomean(&sa);
+            let gb = geomean(&sb);
             ClassDelta {
                 count_a: count_by(a, &class),
                 count_b: count_by(b, &class),
@@ -362,33 +404,7 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
         })
         .collect();
 
-    let (phases, perf_regressions, perf_improvements, perf_note) =
-        match (a.perf.as_ref(), b.perf.as_ref()) {
-            (Some(pa), Some(pb)) => {
-                let (ph, reg, imp) = diff_perf(pa, pb, opts);
-                (ph, reg, imp, None)
-            }
-            (None, None) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("no perf section in either ledger (run bench with --perf)".to_string()),
-            ),
-            (Some(_), None) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("perf section only in A — wall-time comparison skipped".to_string()),
-            ),
-            (None, Some(_)) => (
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Some("perf section only in B — wall-time comparison skipped".to_string()),
-            ),
-        };
-
-    DiffReport {
+    let mut report = DiffReport {
         identity_notes,
         geomean: GeomeanDiff {
             a: a.summary.geomean_speedup,
@@ -403,129 +419,134 @@ pub fn diff_ledgers(a: &Ledger, b: &Ledger, opts: DiffOptions) -> DiffReport {
         errors_a: a.errors.len(),
         errors_b: b.errors.len(),
         classes,
-        phases,
-        perf_regressions,
-        perf_improvements,
-        perf_note,
-    }
+        ..DiffReport::default()
+    };
+    let skipped = match (a.perf.as_ref(), b.perf.as_ref()) {
+        (Some(pa), Some(pb)) => {
+            report.walk_perf(pa, pb, gate_margin);
+            return report;
+        }
+        (None, None) => "no perf section in either ledger (run bench with --perf)",
+        (Some(_), None) => "perf section only in A — wall-time comparison skipped",
+        (None, Some(_)) => "perf section only in B — wall-time comparison skipped",
+    };
+    report.perf_note = Some(skipped.to_string());
+    report
 }
 
-/// Compare two perf sections: per-phase aggregates plus CI-significance
-/// flags for every (matrix, phase) pair present in both, and the
-/// per-matrix totals.
-fn diff_perf(
-    pa: &PerfSection,
-    pb: &PerfSection,
-    opts: DiffOptions,
-) -> (Vec<PhaseDelta>, Vec<PerfFlag>, Vec<PerfFlag>) {
-    let by_name_a: BTreeMap<&str, &crate::ledger::MatrixPerf> =
-        pa.matrices.iter().map(|m| (m.matrix.as_str(), m)).collect();
-
-    let mut phase_totals: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    let mut regressions = Vec::new();
-    let mut improvements = Vec::new();
-
-    // B's median must clear A's CI bound by margin + slack to flag.
-    let reg_bound = |ci_hi: f64| ci_hi * (1.0 + opts.margin_frac) + opts.abs_slack_ns;
-    let imp_bound = |ci_lo: f64| ci_lo * (1.0 - opts.margin_frac) - opts.abs_slack_ns;
-
-    for mb in &pb.matrices {
-        let Some(ma) = by_name_a.get(mb.matrix.as_str()) else {
-            continue;
+impl DiffReport {
+    /// Pair A's perf matrices with B's by name, and each pair's phases by
+    /// name; apply the CI-bound and allocation rules to every pair.
+    fn walk_perf(&mut self, pa: &PerfSection, pb: &PerfSection, gate_margin: Option<f64>) {
+        let (ci_widen, alloc_margin, [slack_count, slack_bytes]) = match gate_margin {
+            Some(margin) => (
+                (margin, GATE_SLACK_NS),
+                GATE_ALLOC_MARGIN_FRAC,
+                GATE_ALLOC_SLACK,
+            ),
+            None => ((0.0, 0.0), 0.0, [0.0; 2]),
         };
-
-        if mb.total_median_ns > reg_bound(ma.total_ci_hi_ns) {
-            regressions.push(PerfFlag {
-                matrix: mb.matrix.clone(),
-                phase: "total".to_string(),
-                a_median_ns: ma.total_median_ns,
-                a_ci_bound_ns: ma.total_ci_hi_ns,
-                b_median_ns: mb.total_median_ns,
-                ratio: mb.total_median_ns / ma.total_median_ns,
-            });
-        } else if mb.total_median_ns < imp_bound(ma.total_ci_lo_ns) {
-            improvements.push(PerfFlag {
-                matrix: mb.matrix.clone(),
-                phase: "total".to_string(),
-                a_median_ns: ma.total_median_ns,
-                a_ci_bound_ns: ma.total_ci_lo_ns,
-                b_median_ns: mb.total_median_ns,
-                ratio: mb.total_median_ns / ma.total_median_ns,
-            });
-        }
-
-        let phases_a: BTreeMap<&str, &crate::ledger::PhasePerf> =
-            ma.phases.iter().map(|p| (p.phase.as_str(), p)).collect();
-        for phb in &mb.phases {
-            let Some(pha) = phases_a.get(phb.phase.as_str()) else {
+        let by_name_b: BTreeMap<&str, &MatrixPerf> =
+            pb.matrices.iter().map(|m| (m.matrix.as_str(), m)).collect();
+        let mut phase_totals: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        for ma in &pa.matrices {
+            let Some(mb) = by_name_b.get(ma.matrix.as_str()) else {
+                self.perf_only_in_a.push(ma.matrix.clone());
                 continue;
             };
-            let entry = phase_totals.entry(phb.phase.clone()).or_default();
-            entry.0 += pha.median_ns;
-            entry.1 += phb.median_ns;
-            if phb.median_ns > reg_bound(pha.ci_hi_ns) {
-                regressions.push(PerfFlag {
-                    matrix: mb.matrix.clone(),
-                    phase: phb.phase.clone(),
-                    a_median_ns: pha.median_ns,
-                    a_ci_bound_ns: pha.ci_hi_ns,
-                    b_median_ns: phb.median_ns,
-                    ratio: if pha.median_ns > 0.0 {
-                        phb.median_ns / pha.median_ns
-                    } else {
-                        f64::INFINITY
-                    },
-                });
-            } else if phb.median_ns < imp_bound(pha.ci_lo_ns) {
-                improvements.push(PerfFlag {
-                    matrix: mb.matrix.clone(),
-                    phase: phb.phase.clone(),
-                    a_median_ns: pha.median_ns,
-                    a_ci_bound_ns: pha.ci_lo_ns,
-                    b_median_ns: phb.median_ns,
-                    ratio: if pha.median_ns > 0.0 {
-                        phb.median_ns / pha.median_ns
-                    } else {
-                        0.0
-                    },
-                });
+            let total = [ma.total_median_ns, ma.total_ci_lo_ns, ma.total_ci_hi_ns];
+            self.ci_rule(&ma.matrix, "total", total, mb.total_median_ns, ci_widen);
+            for pha in &ma.phases {
+                let Some(phb) = mb.phases.iter().find(|p| p.phase == pha.phase) else {
+                    continue;
+                };
+                let entry = phase_totals.entry(pha.phase.clone()).or_default();
+                entry.0 += pha.median_ns;
+                entry.1 += phb.median_ns;
+                let timing = [pha.median_ns, pha.ci_lo_ns, pha.ci_hi_ns];
+                self.ci_rule(&ma.matrix, &pha.phase, timing, phb.median_ns, ci_widen);
+                // A hot path that starts allocating per strip again blows
+                // past margin + slack even when its wall time hides inside
+                // the noise band.
+                let counts = (pha.alloc_count, phb.alloc_count, slack_count);
+                let bytes = (pha.alloc_bytes, phb.alloc_bytes, slack_bytes);
+                for (resource, (va, vb, slack)) in [("count", counts), ("bytes", bytes)] {
+                    let limit = va * (1.0 + alloc_margin) + slack;
+                    if vb > limit {
+                        self.alloc_regressions.push(AllocFlag {
+                            matrix: ma.matrix.clone(),
+                            phase: pha.phase.clone(),
+                            resource: resource.to_string(),
+                            a: va,
+                            b: vb,
+                            limit,
+                        });
+                    }
+                }
             }
         }
+        self.phases = phase_totals
+            .into_iter()
+            .map(|(phase, (ta, tb))| PhaseDelta {
+                phase,
+                total_a_ns: ta,
+                total_b_ns: tb,
+                ratio: if ta > 0.0 { tb / ta } else { 1.0 },
+            })
+            .collect();
+
+        // Worst slowdown first; best speedup first; ties by (matrix, phase)
+        // so the report is deterministic.
+        let ratio =
+            |x: &PerfFlag, y: &PerfFlag| x.ratio.partial_cmp(&y.ratio).unwrap_or(Ordering::Equal);
+        let name = |x: &PerfFlag, y: &PerfFlag| (&x.matrix, &x.phase).cmp(&(&y.matrix, &y.phase));
+        self.perf_regressions
+            .sort_by(|x, y| ratio(y, x).then_with(|| name(x, y)));
+        self.perf_improvements
+            .sort_by(|x, y| ratio(x, y).then_with(|| name(x, y)));
     }
 
-    let phases: Vec<PhaseDelta> = phase_totals
-        .into_iter()
-        .map(|(phase, (ta, tb))| PhaseDelta {
-            phase,
-            total_a_ns: ta,
-            total_b_ns: tb,
-            ratio: if ta > 0.0 { tb / ta } else { 1.0 },
-        })
-        .collect();
-
-    // Worst slowdown first; best speedup first; ties by (matrix, phase)
-    // so the report is deterministic.
-    regressions.sort_by(|x, y| {
-        y.ratio
-            .partial_cmp(&x.ratio)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| x.matrix.cmp(&y.matrix))
-            .then_with(|| x.phase.cmp(&y.phase))
-    });
-    improvements.sort_by(|x, y| {
-        x.ratio
-            .partial_cmp(&y.ratio)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| x.matrix.cmp(&y.matrix))
-            .then_with(|| x.phase.cmp(&y.phase))
-    });
-    (phases, regressions, improvements)
+    /// The CI-bound rule for one (matrix, phase) pair, given A's
+    /// `[median, ci_lo, ci_hi]`, B's median and `(margin, slack_ns)`: B
+    /// regresses when its median lies above `ci_hi × (1 + margin) + slack`,
+    /// and improves when below `ci_lo × (1 − margin) − slack`.
+    fn ci_rule(
+        &mut self,
+        matrix: &str,
+        phase: &str,
+        a: [f64; 3],
+        b_median_ns: f64,
+        (margin, slack_ns): (f64, f64),
+    ) {
+        let [a_median_ns, a_ci_lo_ns, a_ci_hi_ns] = a;
+        let ceiling = a_ci_hi_ns * (1.0 + margin) + slack_ns;
+        let floor = a_ci_lo_ns * (1.0 - margin) - slack_ns;
+        let flag = |limit_ns: f64, ratio_from_zero: f64| PerfFlag {
+            matrix: matrix.to_string(),
+            phase: phase.to_string(),
+            a_median_ns,
+            a_ci_lo_ns,
+            a_ci_hi_ns,
+            limit_ns,
+            b_median_ns,
+            ratio: if a_median_ns > 0.0 {
+                b_median_ns / a_median_ns
+            } else {
+                ratio_from_zero
+            },
+        };
+        if b_median_ns > ceiling {
+            self.perf_regressions.push(flag(ceiling, f64::INFINITY));
+        } else if b_median_ns < floor {
+            self.perf_improvements.push(flag(floor, 0.0));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{LatencyPercentiles, MatrixPerf, PerfSection, PhasePerf};
+    use crate::ledger::{LatencyPercentiles, PhasePerf};
 
     fn perf_matrix(name: &str, base_ns: f64) -> MatrixPerf {
         let phase = |p: &str, ns: f64| PhasePerf {
@@ -554,7 +575,10 @@ mod tests {
             warmup: 1,
             iters: 8,
             resamples: 100,
-            matrices: vec![perf_matrix("m0", 1_000_000.0), perf_matrix("m1", 2_000_000.0)],
+            matrices: vec![
+                perf_matrix("m0", 1_000_000.0),
+                perf_matrix("m1", 2_000_000.0),
+            ],
         });
         ledger
     }
@@ -611,14 +635,14 @@ mod tests {
             ledger.rows.push(row);
         }
         let speeds: Vec<f64> = ledger.rows.iter().map(|r| r.speedup).collect();
-        ledger.summary.geomean_speedup = geomean_of(&speeds);
+        ledger.summary.geomean_speedup = geomean(&speeds);
         ledger
     }
 
     #[test]
     fn identical_ledgers_diff_clean() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
-        let report = diff_ledgers(&a, &a, DiffOptions::default());
+        let report = diff_ledgers(&a, &a);
         assert!(report.identity_notes.is_empty());
         assert!((report.geomean.ratio - 1.0).abs() < 1e-12);
         assert!(report.only_in_a.is_empty() && report.only_in_b.is_empty());
@@ -633,7 +657,7 @@ mod tests {
     fn matrix_contributions_sum_to_geomean_movement() {
         let a = toy_ledger(&[("m0", "c-stationary", 2.0), ("m1", "b-stationary", 3.0)]);
         let b = toy_ledger(&[("m0", "c-stationary", 1.0), ("m1", "b-stationary", 3.3)]);
-        let report = diff_ledgers(&a, &b, DiffOptions::default());
+        let report = diff_ledgers(&a, &b);
         let total: f64 = report.matrices.iter().map(|m| m.contribution).sum();
         assert!(
             (total - report.geomean.ratio.ln()).abs() < 1e-12,
@@ -659,11 +683,17 @@ mod tests {
         let mut b = toy_ledger(&[("m0", "c-stationary", 2.0), ("new", "c-stationary", 2.0)]);
         b.seed = 7;
         b.fault_seed = Some(1);
-        let report = diff_ledgers(&a, &b, DiffOptions::default());
+        let report = diff_ledgers(&a, &b);
         assert_eq!(report.only_in_a, vec!["gone".to_string()]);
         assert_eq!(report.only_in_b, vec!["new".to_string()]);
-        assert!(report.identity_notes.iter().any(|n| n.contains("seed 1 vs 7")));
-        assert!(report.identity_notes.iter().any(|n| n.contains("fault plan")));
+        assert!(report
+            .identity_notes
+            .iter()
+            .any(|n| n.contains("seed 1 vs 7")));
+        assert!(report
+            .identity_notes
+            .iter()
+            .any(|n| n.contains("fault seed")));
     }
 
     #[test]
@@ -691,7 +721,7 @@ mod tests {
             kernel.ci_lo_ns *= 1000.0;
             kernel.ci_hi_ns *= 1000.0;
         }
-        let report = diff_ledgers(&a, &b, DiffOptions::default());
+        let report = diff_ledgers(&a, &b);
         let flagged: Vec<(String, String)> = report
             .perf_regressions
             .iter()
@@ -708,19 +738,18 @@ mod tests {
         assert!(report.perf_improvements.is_empty());
         assert!(report.has_regressions());
         // Reverse direction: the same deltas read as improvements.
-        let reverse = diff_ledgers(&b, &a, DiffOptions::default());
+        let reverse = diff_ledgers(&b, &a);
         assert!(reverse.perf_regressions.is_empty());
         assert_eq!(reverse.perf_improvements.len(), 2);
         // Identical perf flags nothing: a median sits inside its own CI.
-        let same = diff_ledgers(&a, &a, DiffOptions::default());
+        let same = diff_ledgers(&a, &a);
         assert!(same.perf_regressions.is_empty());
         assert!(same.perf_improvements.is_empty());
         // Text + JSON both name the doctored pair.
         let text = report.render_text();
         assert!(text.contains("REGRESSED"));
         assert!(text.contains("m1"));
-        let parsed: DiffReport =
-            serde_json::from_str(&report.to_json()).expect("JSON roundtrips");
+        let parsed: DiffReport = serde_json::from_str(&report.to_json()).expect("JSON roundtrips");
         assert_eq!(parsed, report);
     }
 
@@ -733,16 +762,55 @@ mod tests {
             // +10%: outside the +-5% CI, inside a 50% margin.
             perf.matrices[0].total_median_ns *= 1.10;
         }
-        let strict = diff_ledgers(&a, &b, DiffOptions::default());
+        let strict = diff_ledgers(&a, &b);
         assert_eq!(strict.perf_regressions.len(), 1);
-        let loose = diff_ledgers(
-            &a,
-            &b,
-            DiffOptions {
-                margin_frac: 0.5,
-                abs_slack_ns: 0.0,
-            },
+        let loose = crate::GateTolerance { margin_frac: 0.5 };
+        assert!(b.perf_gate(&a, loose).is_ok());
+    }
+
+    #[test]
+    fn baseline_perf_matrix_missing_from_b_is_reported() {
+        let a = ledger_with_perf();
+        let mut b = a.clone();
+        b.perf.as_mut().expect("perf present").matrices.remove(1);
+        let report = diff_ledgers(&a, &b);
+        assert_eq!(report.perf_only_in_a, vec!["m1".to_string()]);
+        assert!(report.has_regressions());
+        let text = report.render_text();
+        assert!(text.contains("perf matrices only in A: m1"), "{text}");
+        assert!(
+            text.contains(
+                "perf: 1 regression(s) (0 CI-significant, 0 allocation, 1 missing from B)"
+            ),
+            "{text}"
         );
-        assert!(loose.perf_regressions.is_empty());
+        // The other direction is a new matrix, not a missing one.
+        assert!(diff_ledgers(&b, &a).perf_only_in_a.is_empty());
+    }
+
+    #[test]
+    fn per_phase_allocation_increase_is_reported() {
+        let a = ledger_with_perf();
+        let mut b = a.clone();
+        b.perf.as_mut().expect("perf present").matrices[0].phases[1].alloc_count = 1.0;
+        let report = diff_ledgers(&a, &b);
+        let [flag] = report.alloc_regressions.as_slice() else {
+            panic!("one allocation flag: {:?}", report.alloc_regressions);
+        };
+        assert_eq!(
+            (&*flag.matrix, &*flag.phase, &*flag.resource),
+            ("m0", "kernel", "count")
+        );
+        assert!(report.perf_regressions.is_empty() && report.has_regressions());
+        let text = report.render_text();
+        assert!(
+            text.contains("perf: 1 regression(s) (0 CI-significant, 1 allocation"),
+            "{text}"
+        );
+        assert!(diff_ledgers(&a, &a)
+            .render_text()
+            .contains("perf: no regressions"));
+        // Fewer allocations is not an increase.
+        assert!(diff_ledgers(&b, &a).alloc_regressions.is_empty());
     }
 }

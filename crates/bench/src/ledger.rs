@@ -10,6 +10,7 @@
 //! the same suite at the same seed twice produces **byte-identical**
 //! files — which is what makes [`Ledger::gate`] a meaningful diff.
 
+use crate::diff::{identity_drift, walk};
 use crate::harness::{summarize, BenchConfig};
 use crate::progress::ProgressReporter;
 use crate::{experiment_gpu, experiment_k, experiment_tile, geomean, EXPERIMENT_SEED};
@@ -244,42 +245,6 @@ pub struct PerfSection {
     pub matrices: Vec<MatrixPerf>,
 }
 
-/// Noise tolerance for [`Ledger::perf_gate`]: a run median must exceed
-/// the baseline's CI upper bound by both the relative margin and the
-/// absolute slack before it counts as a regression. The slack keeps
-/// microsecond-scale phases (where a scheduler blip is a large fraction)
-/// from firing the gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfTolerance {
-    /// Relative headroom above the baseline CI (0.5 = 50%).
-    pub margin_frac: f64,
-    /// Absolute headroom, ns.
-    pub abs_slack_ns: f64,
-    /// Relative headroom above the baseline per-phase allocation count
-    /// and bytes (0.5 = 50%). Allocation counts are near-deterministic
-    /// (pools are reset before the measurement pass), but steady-state
-    /// shelving can differ slightly run to run.
-    pub alloc_margin_frac: f64,
-    /// Absolute allocation-count headroom per phase.
-    pub alloc_slack_count: f64,
-    /// Absolute allocation-bytes headroom per phase.
-    pub alloc_slack_bytes: f64,
-}
-
-impl Default for PerfTolerance {
-    fn default() -> Self {
-        Self {
-            // Generous by default: CI machines differ; tighten locally
-            // with --perf-margin for same-machine comparisons.
-            margin_frac: 0.5,
-            abs_slack_ns: 100_000.0,
-            alloc_margin_frac: 0.5,
-            alloc_slack_count: 64.0,
-            alloc_slack_bytes: 65_536.0,
-        }
-    }
-}
-
 /// A full suite sweep: rows plus summary, versioned for diffing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ledger {
@@ -312,21 +277,29 @@ pub struct Ledger {
     pub perf: Option<PerfSection>,
 }
 
-/// Tolerances for [`Ledger::gate`].
+/// Allowed fractional drop in geomean speedup at the gate (0.05 = 5 %).
+const SPEEDUP_DROP_FRAC: f64 = 0.05;
+/// Allowed absolute drop in SSF accuracy at the gate (0.05 = 5 points).
+const ACCURACY_DROP_ABS: f64 = 0.05;
+
+/// Tolerance for [`Ledger::perf_gate`]: how far a run's wall time may
+/// fall behind its baseline before the gate fails.
+///
+/// A run median regresses only when it exceeds the baseline's CI upper
+/// bound by both the relative margin and the walk's fixed absolute slack
+/// (see [`crate::diff`]); the speedup and accuracy floors of
+/// [`Ledger::gate`] are fixed at 5 % and 5 points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateTolerance {
-    /// Allowed fractional drop in geomean speedup (0.05 = 5 %).
-    pub speedup_frac: f64,
-    /// Allowed absolute drop in SSF accuracy (0.05 = 5 points).
-    pub accuracy_abs: f64,
+    /// Relative headroom above the baseline CI (0.5 = 50%).
+    pub margin_frac: f64,
 }
 
 impl Default for GateTolerance {
     fn default() -> Self {
-        Self {
-            speedup_frac: 0.05,
-            accuracy_abs: 0.05,
-        }
+        // Generous by default: CI machines differ; tighten locally with
+        // --perf-margin for same-machine comparisons.
+        Self { margin_frac: 0.5 }
     }
 }
 
@@ -354,20 +327,7 @@ impl Ledger {
         tile: usize,
         audits: &[DecisionAudit],
     ) -> Self {
-        Self::from_sweep(scale, seed, k, tile, audits, Vec::new())
-    }
-
-    /// Aggregate a sweep's successful audits plus its per-matrix errors
-    /// (both in suite order) into a clean (unfaulted) ledger.
-    pub fn from_sweep(
-        scale: SuiteScale,
-        seed: u64,
-        k: usize,
-        tile: usize,
-        audits: &[DecisionAudit],
-        errors: Vec<ErrorRow>,
-    ) -> Self {
-        Self::from_sweep_faulted(scale, seed, k, tile, None, audits, errors)
+        Self::from_sweep_faulted(scale, seed, k, tile, None, audits, Vec::new())
     }
 
     /// Aggregate a sweep that ran under `fault` (or `None` for a clean
@@ -495,61 +455,44 @@ impl Ledger {
     /// Diff this ledger (the fresh run) against a committed `baseline`.
     ///
     /// Returns `Ok(notes)` when the run is no worse than the baseline
-    /// within `tol`, `Err(regressions)` otherwise. Checks, in order:
-    /// suite identity (scale/seed/k/tile/row count) must match exactly —
-    /// a mismatch means the baseline must be consciously refreshed, not
-    /// silently accepted — then geomean speedup may not drop more than
-    /// `tol.speedup_frac` relatively and SSF accuracy not more than
-    /// `tol.accuracy_abs` absolutely.
-    pub fn gate(&self, baseline: &Ledger, tol: GateTolerance) -> Result<Vec<String>, Vec<String>> {
-        let mut regressions = Vec::new();
-        let mut notes = Vec::new();
-        for (what, run, base) in [
-            ("scale", self.scale.clone(), baseline.scale.clone()),
-            ("seed", self.seed.to_string(), baseline.seed.to_string()),
-            ("k", self.k.to_string(), baseline.k.to_string()),
-            ("tile", self.tile.to_string(), baseline.tile.to_string()),
-            (
-                "fault seed",
-                format!("{:?}", self.fault_seed),
-                format!("{:?}", baseline.fault_seed),
-            ),
-            (
-                "fault rate (ppm)",
-                format!("{:?}", self.fault_rate_ppm),
-                format!("{:?}", baseline.fault_rate_ppm),
-            ),
-            (
-                "matrix count",
-                self.rows.len().to_string(),
-                baseline.rows.len().to_string(),
-            ),
-            (
-                "error-row count",
-                self.errors.len().to_string(),
-                baseline.errors.len().to_string(),
-            ),
+    /// within the fixed floors, `Err(regressions)` otherwise. Checks, in order:
+    /// suite identity (the diff's identity fields plus the matrix and
+    /// error-row counts) must match exactly — a mismatch means the
+    /// baseline must be consciously refreshed, not silently accepted —
+    /// then geomean speedup may not drop more than 5 % relatively and SSF
+    /// accuracy not more than 5 points absolutely. `_tol` holds only the
+    /// perf gate's margin; the signature matches [`Ledger::perf_gate`].
+    pub fn gate(&self, baseline: &Ledger, _tol: GateTolerance) -> Result<Vec<String>, Vec<String>> {
+        let mut drift = identity_drift(baseline, self);
+        for (what, base, run) in [
+            ("matrix count", baseline.rows.len(), self.rows.len()),
+            ("error-row count", baseline.errors.len(), self.errors.len()),
         ] {
-            if run != base {
-                regressions.push(format!(
-                    "suite identity changed: {what} was {base}, now {run} — refresh the baseline"
-                ));
+            if base != run {
+                drift.push((what, base.to_string(), run.to_string()));
             }
         }
-        if !regressions.is_empty() {
-            return Err(regressions);
+        if !drift.is_empty() {
+            return Err(drift
+                .into_iter()
+                .map(|(what, base, run)| {
+                    format!("suite identity changed: {what} was {base}, now {run} — refresh the baseline")
+                })
+                .collect());
         }
 
+        let mut regressions = Vec::new();
+        let mut notes = Vec::new();
         let run = &self.summary;
         let base = &baseline.summary;
-        let speedup_floor = base.geomean_speedup * (1.0 - tol.speedup_frac);
+        let speedup_floor = base.geomean_speedup * (1.0 - SPEEDUP_DROP_FRAC);
         if run.geomean_speedup < speedup_floor {
             regressions.push(format!(
                 "geomean speedup regressed: {:.4}x < floor {:.4}x (baseline {:.4}x − {:.0}%)",
                 run.geomean_speedup,
                 speedup_floor,
                 base.geomean_speedup,
-                tol.speedup_frac * 100.0
+                SPEEDUP_DROP_FRAC * 100.0
             ));
         } else {
             notes.push(format!(
@@ -557,14 +500,14 @@ impl Ledger {
                 run.geomean_speedup, base.geomean_speedup, speedup_floor
             ));
         }
-        let accuracy_floor = base.ssf_accuracy - tol.accuracy_abs;
+        let accuracy_floor = base.ssf_accuracy - ACCURACY_DROP_ABS;
         if run.ssf_accuracy < accuracy_floor {
             regressions.push(format!(
                 "SSF accuracy regressed: {:.1}% < floor {:.1}% (baseline {:.1}% − {:.0} pts)",
                 run.ssf_accuracy * 100.0,
                 accuracy_floor * 100.0,
                 base.ssf_accuracy * 100.0,
-                tol.accuracy_abs * 100.0
+                ACCURACY_DROP_ABS * 100.0
             ));
         } else {
             notes.push(format!(
@@ -581,112 +524,62 @@ impl Ledger {
         }
     }
 
-    /// Noise-aware wall-time gate: compare this run's `perf` section
-    /// against `baseline`'s.
+    /// Noise-aware wall-time gate: the verdict on what the ledger walk
+    /// ([`crate::diff`]) flags in this run's `perf` section against
+    /// `baseline`'s at the gate's margins.
     ///
     /// A matrix (total or phase) regresses only when the run's median
     /// lies above the **baseline's CI upper bound** scaled by
-    /// `tol.margin_frac` plus `tol.abs_slack_ns` — so the gate is quiet
+    /// `tol.margin_frac` plus the walk's fixed slack — so the gate is quiet
     /// on timer jitter (which stays inside the CI) and strict on real
     /// slowdowns (which move the median past any plausible noise band).
-    /// Ledgers without perf data on either side pass with a note: the
+    /// A per-phase allocation increase past the walk's allocation margins
+    /// and a baseline perf matrix missing from the run fail it too. Ledgers
+    /// without perf data on either side pass with a note: the
     /// deterministic byte-identity sweeps never carry timings.
     pub fn perf_gate(
         &self,
         baseline: &Ledger,
-        tol: PerfTolerance,
+        tol: GateTolerance,
     ) -> Result<Vec<String>, Vec<String>> {
-        let mut regressions = Vec::new();
-        let mut notes = Vec::new();
-        let (run, base) = match (&self.perf, &baseline.perf) {
-            (Some(r), Some(b)) => (r, b),
-            (r, b) => {
-                notes.push(format!(
-                    "perf gate skipped: perf section {} in run, {} in baseline",
-                    if r.is_some() { "present" } else { "absent" },
-                    if b.is_some() { "present" } else { "absent" },
-                ));
-                return Ok(notes);
-            }
+        let (Some(base), Some(_)) = (&baseline.perf, &self.perf) else {
+            let side = |p: &Option<PerfSection>| if p.is_some() { "present" } else { "absent" };
+            return Ok(vec![format!(
+                "perf gate skipped: perf section {} in run, {} in baseline",
+                side(&self.perf),
+                side(&baseline.perf)
+            )]);
         };
-        let ceiling = |ci_hi: f64| ci_hi * (1.0 + tol.margin_frac) + tol.abs_slack_ns;
-        for bm in &base.matrices {
-            let Some(rm) = run.matrices.iter().find(|m| m.matrix == bm.matrix) else {
-                regressions.push(format!(
-                    "perf matrix set changed: '{}' in baseline but not in run — refresh the baseline",
-                    bm.matrix
-                ));
-                continue;
+        let walk = walk(baseline, self, Some(tol.margin_frac));
+        let missing = walk.perf_only_in_a.iter().map(|m| {
+            format!(
+                "perf matrix set changed: '{m}' in baseline but not in run — refresh the baseline"
+            )
+        });
+        // Ceilings already include the margins and slacks.
+        let slow = walk.perf_regressions.iter().map(|f| {
+            let (at, what) = match f.phase.as_str() {
+                "total" => (f.matrix.clone(), "total"),
+                phase => (format!("{}/{phase}", f.matrix), "phase"),
             };
-            let limit = ceiling(bm.total_ci_hi_ns);
-            if rm.total_median_ns > limit {
-                regressions.push(format!(
-                    "{}: total regressed: median {:.0} ns > ceiling {:.0} ns \
-                     (baseline CI [{:.0}, {:.0}] ns + {:.0}% + {:.0} ns slack)",
-                    bm.matrix,
-                    rm.total_median_ns,
-                    limit,
-                    bm.total_ci_lo_ns,
-                    bm.total_ci_hi_ns,
-                    tol.margin_frac * 100.0,
-                    tol.abs_slack_ns
-                ));
-            } else {
-                notes.push(format!(
-                    "{}: total median {:.0} ns within ceiling {:.0} ns — ok",
-                    bm.matrix, rm.total_median_ns, limit
-                ));
-            }
-            for bp in &bm.phases {
-                let Some(rp) = rm.phases.iter().find(|p| p.phase == bp.phase) else {
-                    continue;
-                };
-                let limit = ceiling(bp.ci_hi_ns);
-                if rp.median_ns > limit {
-                    regressions.push(format!(
-                        "{}/{}: phase regressed: median {:.0} ns > ceiling {:.0} ns \
-                         (baseline CI [{:.0}, {:.0}] ns)",
-                        bm.matrix, bp.phase, rp.median_ns, limit, bp.ci_lo_ns, bp.ci_hi_ns
-                    ));
-                }
-                // Allocation budget: a hot path that starts allocating
-                // per strip again blows well past margin + slack even
-                // though wall time may hide inside the noise band.
-                let alloc_ceiling = |base: f64, slack: f64| {
-                    base * (1.0 + tol.alloc_margin_frac) + slack
-                };
-                let count_limit = alloc_ceiling(bp.alloc_count, tol.alloc_slack_count);
-                if rp.alloc_count > count_limit {
-                    regressions.push(format!(
-                        "{}/{}: allocation count regressed: {:.0} > ceiling {:.0} \
-                         (baseline {:.0} + {:.0}% + {:.0} slack)",
-                        bm.matrix,
-                        bp.phase,
-                        rp.alloc_count,
-                        count_limit,
-                        bp.alloc_count,
-                        tol.alloc_margin_frac * 100.0,
-                        tol.alloc_slack_count
-                    ));
-                }
-                let bytes_limit = alloc_ceiling(bp.alloc_bytes, tol.alloc_slack_bytes);
-                if rp.alloc_bytes > bytes_limit {
-                    regressions.push(format!(
-                        "{}/{}: allocation bytes regressed: {:.0} > ceiling {:.0} \
-                         (baseline {:.0} + {:.0}% + {:.0} slack)",
-                        bm.matrix,
-                        bp.phase,
-                        rp.alloc_bytes,
-                        bytes_limit,
-                        bp.alloc_bytes,
-                        tol.alloc_margin_frac * 100.0,
-                        tol.alloc_slack_bytes
-                    ));
-                }
-            }
-        }
+            format!(
+                "{at}: {what} regressed: median {:.0} ns > ceiling {:.0} ns \
+                 (baseline CI [{:.0}, {:.0}] ns)",
+                f.b_median_ns, f.limit_ns, f.a_ci_lo_ns, f.a_ci_hi_ns
+            )
+        });
+        let allocs = walk.alloc_regressions.iter().map(|f| {
+            format!(
+                "{}/{}: allocation {} regressed: {:.0} > ceiling {:.0} (baseline {:.0})",
+                f.matrix, f.phase, f.resource, f.b, f.limit, f.a
+            )
+        });
+        let regressions: Vec<String> = missing.chain(slow).chain(allocs).collect();
         if regressions.is_empty() {
-            Ok(notes)
+            Ok(vec![format!(
+                "{} baseline matrices: every total and phase median within ceiling — ok",
+                base.matrices.len()
+            )])
         } else {
             Err(regressions)
         }
@@ -815,15 +708,8 @@ pub fn sweep_ledger(
             }),
         }
     }
-    let mut ledger = Ledger::from_sweep_faulted(
-        scale,
-        EXPERIMENT_SEED,
-        k,
-        tile,
-        fault,
-        &audits,
-        errors,
-    );
+    let mut ledger =
+        Ledger::from_sweep_faulted(scale, EXPERIMENT_SEED, k, tile, fault, &audits, errors);
     if let Some(cfg) = perf {
         ledger.perf = Some(measure_perf(&suite, &config, k, cfg, progress));
     }
@@ -865,7 +751,10 @@ fn harvest_events(obs: &ObsContext) -> Vec<LedgerEvent> {
 /// or to run are simply absent from the section — their failure is already
 /// recorded in the ledger's error rows.
 fn measure_perf(
-    suite: &[(nmt_matgen::MatrixDesc, Result<nmt_formats::Csr, nmt_matgen::MatgenError>)],
+    suite: &[(
+        nmt_matgen::MatrixDesc,
+        Result<nmt_formats::Csr, nmt_matgen::MatgenError>,
+    )],
     config: &PlannerConfig,
     k: usize,
     cfg: &BenchConfig,
@@ -1002,10 +891,7 @@ mod tests {
         // The oracle bounds the hybrid from above by construction.
         assert!(s.oracle_geomean_speedup >= s.geomean_speedup - 1e-12);
         assert!((0.0..=1.0).contains(&s.ssf_accuracy));
-        assert_eq!(
-            s.mispicks,
-            ledger.rows.iter().filter(|r| r.mispick).count()
-        );
+        assert_eq!(s.mispicks, ledger.rows.iter().filter(|r| r.mispick).count());
         assert!(s.traffic_bytes.values().sum::<u64>() > 0);
         assert!(s.chosen_latency_ns.p50 <= s.chosen_latency_ns.p95);
         assert!(s.chosen_latency_ns.p95 <= s.chosen_latency_ns.p99);
@@ -1068,11 +954,12 @@ mod tests {
     #[test]
     fn error_rows_are_reported_not_fatal() {
         let clean = quick_ledger(11);
-        let errored = Ledger::from_sweep(
+        let errored = Ledger::from_sweep_faulted(
             SuiteScale::Small,
             11,
             8,
             clean.tile,
+            None,
             &[],
             vec![ErrorRow {
                 matrix: "broken".to_string(),
@@ -1159,11 +1046,12 @@ mod tests {
         assert!(ledger.errors.is_empty());
         assert!(!ledger.to_json().contains("\"events\""));
         // And old files without the key parse with `events: None`.
-        let errored = Ledger::from_sweep(
+        let errored = Ledger::from_sweep_faulted(
             SuiteScale::Small,
             19,
             8,
             ledger.tile,
+            None,
             &[],
             vec![ErrorRow {
                 matrix: "old".to_string(),
@@ -1193,7 +1081,8 @@ mod tests {
         for i in 0..60u64 {
             obs.flight.record(EventSite::FarmStrip, 0, i, 0);
         }
-        obs.flight.record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
+        obs.flight
+            .record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
         obs.flight.record(EventSite::FaultPartitionDropout, 1, 3, 0);
         let harvested = harvest_events(&obs);
         assert_eq!(harvested.len(), ERROR_ROW_EVENT_CAP);
@@ -1209,8 +1098,10 @@ mod tests {
         for i in 0..60u64 {
             obs2.flight.record(EventSite::FarmStrip, 0, i, 0);
         }
-        obs2.flight.record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
-        obs2.flight.record(EventSite::FaultPartitionDropout, 1, 3, 0);
+        obs2.flight
+            .record(EventSite::FaultConvertStrip, 2, 7, 0xBEEF);
+        obs2.flight
+            .record(EventSite::FaultPartitionDropout, 1, 3, 0);
         assert_eq!(harvested, harvest_events(&obs2));
     }
 
@@ -1252,14 +1143,14 @@ mod tests {
     fn perf_gate_skips_without_perf_sections() {
         let ledger = quick_ledger(17);
         let notes = ledger
-            .perf_gate(&ledger, PerfTolerance::default())
+            .perf_gate(&ledger, GateTolerance::default())
             .expect("no perf on either side is a skip, not a failure");
         assert!(notes[0].contains("skipped"), "{notes:?}");
 
         let mut with = ledger.clone();
         with.perf = Some(perf_section(1.0));
         let notes = with
-            .perf_gate(&ledger, PerfTolerance::default())
+            .perf_gate(&ledger, GateTolerance::default())
             .expect("one-sided perf also skips");
         assert!(notes[0].contains("absent in baseline"), "{notes:?}");
     }
@@ -1269,9 +1160,12 @@ mod tests {
         let mut run = quick_ledger(19);
         run.perf = Some(perf_section(1.0));
         let notes = run
-            .perf_gate(&run, PerfTolerance::default())
+            .perf_gate(&run, GateTolerance::default())
             .expect("identical run passes");
-        assert!(notes.iter().any(|n| n.contains("within ceiling")), "{notes:?}");
+        assert!(
+            notes.iter().any(|n| n.contains("within ceiling")),
+            "{notes:?}"
+        );
 
         // Median drift above the baseline CI but inside the noise margin
         // still passes: 1.2 ms median vs a 1.1 ms CI-hi * 1.5 ceiling.
@@ -1279,17 +1173,23 @@ mod tests {
         let mut p = perf_section(1.0);
         p.matrices[0].total_median_ns = 1_200_000.0;
         wobble.perf = Some(p);
-        assert!(wobble.perf_gate(&run, PerfTolerance::default()).is_ok());
+        assert!(wobble.perf_gate(&run, GateTolerance::default()).is_ok());
 
         // A baseline doctored 1000x faster puts the run far past any
         // noise band: both the total and the phase gates must fire.
         let mut doctored = run.clone();
         doctored.perf = Some(perf_section(0.001));
         let errs = run
-            .perf_gate(&doctored, PerfTolerance::default())
+            .perf_gate(&doctored, GateTolerance::default())
             .expect_err("doctored baseline must fire");
-        assert!(errs.iter().any(|e| e.contains("total regressed")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("phase regressed")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("total regressed")),
+            "{errs:?}"
+        );
+        assert!(
+            errs.iter().any(|e| e.contains("phase regressed")),
+            "{errs:?}"
+        );
     }
 
     #[test]
@@ -1305,14 +1205,16 @@ mod tests {
         p.matrices[0].phases[0].alloc_bytes = 50_000_000.0;
         run.perf = Some(p);
         let errs = run
-            .perf_gate(&base, PerfTolerance::default())
+            .perf_gate(&base, GateTolerance::default())
             .expect_err("alloc blowup must fire");
         assert!(
-            errs.iter().any(|e| e.contains("allocation count regressed")),
+            errs.iter()
+                .any(|e| e.contains("allocation count regressed")),
             "{errs:?}"
         );
         assert!(
-            errs.iter().any(|e| e.contains("allocation bytes regressed")),
+            errs.iter()
+                .any(|e| e.contains("allocation bytes regressed")),
             "{errs:?}"
         );
 
@@ -1322,7 +1224,7 @@ mod tests {
         p.matrices[0].phases[0].alloc_count = 14.0;
         p.matrices[0].phases[0].alloc_bytes = 6_000.0;
         wobble.perf = Some(p);
-        assert!(wobble.perf_gate(&base, PerfTolerance::default()).is_ok());
+        assert!(wobble.perf_gate(&base, GateTolerance::default()).is_ok());
     }
 
     #[test]
@@ -1334,7 +1236,7 @@ mod tests {
         p.matrices[0].matrix = "renamed".to_string();
         base.perf = Some(p);
         let errs = run
-            .perf_gate(&base, PerfTolerance::default())
+            .perf_gate(&base, GateTolerance::default())
             .expect_err("baseline matrix missing from run");
         assert!(errs[0].contains("matrix set changed"), "{errs:?}");
     }
@@ -1373,9 +1275,17 @@ mod tests {
         cfg.iters = 3;
         let section = measure_perf(&suite, &config, 8, &cfg, None);
         assert_eq!(section.iters, 3);
-        assert_eq!(section.matrices.len(), suite.len(), "quick suite all builds");
+        assert_eq!(
+            section.matrices.len(),
+            suite.len(),
+            "quick suite all builds"
+        );
         for m in &section.matrices {
-            assert!(m.total_median_ns > 0.0, "{}: window must be timed", m.matrix);
+            assert!(
+                m.total_median_ns > 0.0,
+                "{}: window must be timed",
+                m.matrix
+            );
             assert!(m.total_ci_lo_ns <= m.total_median_ns);
             assert!(m.total_median_ns <= m.total_ci_hi_ns);
             assert!(!m.phases.is_empty(), "{}: phases attributed", m.matrix);

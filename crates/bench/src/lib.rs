@@ -12,16 +12,16 @@ pub mod history;
 pub mod ledger;
 pub mod progress;
 
-pub use diff::{diff_ledgers, DiffOptions, DiffReport};
+pub use diff::{diff_ledgers, DiffReport};
 pub use harness::{median, summarize, BenchConfig, BenchStats};
 pub use history::{
-    append_history, change_point, load_history, render_history, render_serve_history,
-    scan_history, HistoryRecord, HistoryRow, ServeRunRow,
+    append_history, change_point, load_history, render_history, render_serve_history, scan_history,
+    HistoryRecord, HistoryRow, ServeRunRow,
 };
 pub use ledger::{
     ledger_filename, scale_label, sweep_ledger, CorpusSummary, ErrorRow, GateTolerance,
-    LatencyPercentiles, Ledger, LedgerEvent, LedgerRow, MatrixPerf, PerfSection, PerfTolerance,
-    PhasePerf, LEDGER_SCHEMA_VERSION,
+    LatencyPercentiles, Ledger, LedgerEvent, LedgerRow, MatrixPerf, PerfSection, PhasePerf,
+    LEDGER_SCHEMA_VERSION,
 };
 pub use progress::ProgressReporter;
 
@@ -155,7 +155,12 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
         }
         println!("{s}");
     };
-    line(&headers.iter().map(std::string::ToString::to_string).collect::<Vec<_>>());
+    line(
+        &headers
+            .iter()
+            .map(std::string::ToString::to_string)
+            .collect::<Vec<_>>(),
+    );
     line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(row);

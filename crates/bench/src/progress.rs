@@ -126,11 +126,7 @@ impl ProgressReporter {
     /// The line body (exposed for tests; `redraw` prepends `\r`).
     pub fn render(&self) -> String {
         let done = self.completed();
-        let current = self
-            .current
-            .lock()
-            .map(|c| c.clone())
-            .unwrap_or_default();
+        let current = self.current.lock().map(|c| c.clone()).unwrap_or_default();
         let eta = match self.eta_seconds() {
             Some(s) if s >= 60.0 => format!(" eta {:.0}m{:02.0}s", s / 60.0, s % 60.0),
             Some(s) => format!(" eta {s:.1}s"),
@@ -181,7 +177,10 @@ mod tests {
         p.matrix_done("b");
         p.matrix_done("c");
         p.matrix_done("d");
-        assert!(!p.render().contains("eta"), "no ETA once everything is done");
+        assert!(
+            !p.render().contains("eta"),
+            "no ETA once everything is done"
+        );
     }
 
     #[test]

@@ -21,6 +21,30 @@ pub const DEFAULT_SSF_THRESHOLD: SsfThreshold = SsfThreshold {
     accuracy: 0.82,
 };
 
+/// How far a candidate's C may sit from the baseline's, per cell and
+/// relative to the larger magnitude: the kernels accumulate in different
+/// orders, so their sums agree to rounding, not bit for bit.
+const ANSWER_TOL: f32 = 1e-3;
+
+/// The answer check every candidate run passes before its timing counts:
+/// `c` must match the baseline's output within [`ANSWER_TOL`].
+fn check_answer(
+    algorithm: Algorithm,
+    c: &DenseMatrix,
+    baseline: &DenseMatrix,
+) -> Result<(), SimError> {
+    let err = c.max_scaled_diff(baseline);
+    if err <= ANSWER_TOL {
+        return Ok(());
+    }
+    Err(SimError::OutputMismatch {
+        detail: format!(
+            "{algorithm:?} output differs from the baseline's by max scaled error {err:.3e} \
+             (bound {ANSWER_TOL:e})"
+        ),
+    })
+}
+
 /// Which concrete kernel the planner ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Algorithm {
@@ -320,10 +344,7 @@ impl SpmmPlanner {
         obs.metrics
             .gauge_set("planner.phase.chosen_ns", (t_chosen - t_baseline) as f64);
 
-        debug_assert!(
-            run.c.approx_eq(&baseline.c, 1e-3),
-            "planner kernel disagrees with baseline output"
-        );
+        check_answer(run.algorithm, &run.c, &baseline.c)?;
         let engine_energy_pj = run
             .engine
             .as_ref()
@@ -382,6 +403,8 @@ impl SpmmPlanner {
             let _s = obs.span("audit.bstationary");
             self.run_candidate(Choice::BStationary, a, b, obs)?
         };
+        check_answer(c_run.algorithm, &c_run.c, &baseline.c)?;
+        check_answer(b_run.algorithm, &b_run.c, &baseline.c)?;
         // A degraded b-side ran C-stationary, so it is labelled and
         // validated as such. The fallback only stood in for the chosen
         // kernel when the heuristic picked B-stationary.
@@ -811,5 +834,20 @@ mod tests {
             c.c.approx_eq(&online.c, 1e-3),
             "both candidates compute A × B"
         );
+    }
+
+    #[test]
+    fn answer_check_passes_equal_outputs_and_names_a_wrong_one() {
+        let baseline = DenseMatrix::from_fn(4, 3, |r, c| (r + c) as f32);
+        assert!(check_answer(Algorithm::CStationaryDcsr, &baseline, &baseline).is_ok());
+        let mut wrong = baseline.clone();
+        wrong.add(2, 1, 1e-2);
+        match check_answer(Algorithm::BStationaryOnline, &wrong, &baseline) {
+            Err(SimError::OutputMismatch { detail }) => {
+                assert!(detail.contains("BStationaryOnline"), "{detail}");
+                assert!(detail.contains("max scaled error"), "{detail}");
+            }
+            other => panic!("a perturbed C must fail the check: {other:?}"),
+        }
     }
 }

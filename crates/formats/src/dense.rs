@@ -149,17 +149,25 @@ impl DenseMatrix {
             .fold(0.0f32, f32::max)
     }
 
+    /// Largest cell difference against `other`, each relative to the
+    /// larger magnitude with an absolute floor of 1: infinite when the
+    /// shapes differ, NaN when a cell compares as NaN.
+    pub fn max_scaled_diff(&self, other: &DenseMatrix) -> f32 {
+        if self.shape() != other.shape() {
+            return f32::INFINITY;
+        }
+        self.data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| (a - b).abs() / a.abs().max(b.abs()).max(1.0))
+            .fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
+    }
+
     /// True when all cells are within `tol` of `other` (relative to the
     /// larger magnitude, with an absolute floor). Suitable for comparing
     /// SpMM results whose accumulation order differs.
     pub fn approx_eq(&self, other: &DenseMatrix, tol: f32) -> bool {
-        if self.shape() != other.shape() {
-            return false;
-        }
-        self.data.iter().zip(&other.data).all(|(a, b)| {
-            let scale = a.abs().max(b.abs()).max(1.0);
-            (a - b).abs() <= tol * scale
-        })
+        self.max_scaled_diff(other) <= tol
     }
 }
 

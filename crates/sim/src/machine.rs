@@ -57,6 +57,12 @@ pub enum SimError {
         /// Human-readable description of what was injected.
         detail: String,
     },
+    /// A candidate kernel's output disagrees with the baseline's beyond
+    /// the planner's answer-check bound.
+    OutputMismatch {
+        /// Which kernel disagreed, and by how much.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -76,6 +82,7 @@ impl std::fmt::Display for SimError {
             SimError::InjectedFault { site, key, detail } => {
                 write!(f, "injected fault at {site}#{key}: {detail}")
             }
+            SimError::OutputMismatch { detail } => write!(f, "output mismatch: {detail}"),
         }
     }
 }

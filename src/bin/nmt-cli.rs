@@ -12,8 +12,8 @@
 //! nmt-cli audit   <file.mtx> [--k N] [--tile N] [--threads N] [--json]
 //!                 [--metrics-json <metrics.json>] [--fault-seed N [--fault-rate F]]
 //! nmt-cli bench   [--scale small|medium|paper] [--threads N] [--out <BENCH.json>]
-//!                 [--baseline <BENCH.json>] [--tol-speedup F] [--tol-accuracy F]
-//!                 [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F] [--alloc-margin F]
+//!                 [--baseline <BENCH.json>]
+//!                 [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F]
 //!                 [--progress] [--fault-seed N [--fault-rate F]]
 //!                 [--history <HISTORY.jsonl>] [--diag-dir <dir>]
 //! nmt-cli serve   [--requests <trace.jsonl> | --synth N] [--threads N]
@@ -24,22 +24,26 @@
 //!                 [--history <SERVE_HISTORY.jsonl>] [--diag-dir <dir>]
 //! nmt-cli doctor  <nmt-diag-*.json>
 //! nmt-cli diff    <ledger-A.json> <ledger-B.json> [--json]
-//!                 [--diff-margin F] [--diff-slack-ns NS]
 //! nmt-cli history <HISTORY.jsonl>
 //! nmt-cli suite   [--scale small|medium|paper]
 //! nmt-cli help
 //! ```
+//!
+//! `bench --baseline` and `diff` compare ledgers through one walk: `diff`
+//! reports everything it finds at zero margin, and the bench gates fail
+//! only on what it flags at their wider, fixed margins (`--perf-margin`
+//! is the one that can be set).
 
 use spmm_nmt::bench::{
     append_history, diff_ledgers, load_history, parse_scale, render_history, render_serve_history,
-    sweep_ledger, BenchConfig, DiffOptions, GateTolerance, HistoryRecord, HistoryRow, Ledger,
-    PerfTolerance, ProgressReporter, ServeRunRow, EXPERIMENT_SEED,
+    sweep_ledger, BenchConfig, GateTolerance, HistoryRecord, HistoryRow, Ledger, ProgressReporter,
+    ServeRunRow, EXPERIMENT_SEED,
 };
 use spmm_nmt::fault::FaultPlan;
 use spmm_nmt::engine::{
     conversion_energy_pj, convert_matrix_farm, ComparatorTree, EngineTiming, FarmConfig,
 };
-use spmm_nmt::formats::{market, Csr, Dcsr, SparseMatrix, StorageSize, TiledDcsr};
+use spmm_nmt::formats::{market, Csr, Dcsr, DenseMatrix, SparseMatrix, StorageSize, TiledDcsr};
 use spmm_nmt::matgen::{random_dense, SuiteScale, SuiteSpec};
 use spmm_nmt::model::ssf::SsfProfile;
 use spmm_nmt::obs::{
@@ -126,13 +130,15 @@ USAGE:
                                           dataflow, and Table-1 predicted
                                           vs measured traffic per operand
   nmt-cli bench   [--scale small|medium|paper] [--threads N] [--out <BENCH.json>]
-                  [--baseline <BENCH.json>] [--tol-speedup F] [--tol-accuracy F]
-                  [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F] [--alloc-margin F]
+                  [--baseline <BENCH.json>]
+                  [--perf] [--perf-iters N] [--perf-warmup N] [--perf-margin F]
                   [--progress] [--fault-seed N [--fault-rate F]]
                                           sweep the synthetic suite into a
                                           schema-versioned run ledger; with
                                           --baseline, gate against it and
-                                          fail on regression
+                                          fail on regression (geomean
+                                          speedup down > 5 %, SSF accuracy
+                                          down > 5 points)
                                           (--threads sizes the worker pool;
                                           default: RAYON_NUM_THREADS or the
                                           core count — results are identical
@@ -145,9 +151,10 @@ USAGE:
                                           --baseline it also gates timings,
                                           failing only when a median exceeds
                                           the baseline CI by --perf-margin
-                                          (fraction, default 0.5); per-phase
-                                          alloc.count/alloc.bytes gate the
-                                          same way via --alloc-margin
+                                          (fraction, default 0.5) + 100 us;
+                                          per-phase alloc.count/alloc.bytes
+                                          may exceed the baseline's by 50 %
+                                          + a small slack
                                           --progress draws a live done/total
                                           + ETA line on stderr (auto-off when
                                           stderr is not a TTY)
@@ -197,12 +204,15 @@ USAGE:
                                           thread, span stack, and the last
                                           flight-recorder events
   nmt-cli diff    <ledger-A.json> <ledger-B.json> [--json]
-                  [--diff-margin F] [--diff-slack-ns NS]
                                           forensic ledger comparison:
                                           attribute geomean movement to
                                           matrices / dataflow classes /
                                           phases and flag wall-time deltas
-                                          outside A's bootstrap CIs
+                                          outside A's bootstrap CIs,
+                                          per-phase allocation increases
+                                          and perf matrices B lacks (the
+                                          walk the bench gates read at
+                                          their wider margins)
   nmt-cli history <HISTORY.jsonl>         render the perf timeline and scan
                                           each series for change points
   nmt-cli suite   [--scale small|medium|paper]
@@ -221,6 +231,20 @@ fn parse_flag<T: std::str::FromStr>(rest: &[&String], name: &str, default: T) ->
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value {v:?} for {name}")),
     }
+}
+
+/// `--tile N` (else `default`), checked against the engine's 64 lanes.
+fn parse_tile(rest: &[&String], default: usize) -> Result<usize, String> {
+    let tile: usize = parse_flag(rest, "--tile", default)?;
+    if tile == 0 || tile > 64 {
+        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
+    }
+    Ok(tile)
+}
+
+/// `--scale small|medium|paper` (else small), through [`parse_scale`].
+fn scale_flag(rest: &[&String]) -> Result<SuiteScale, String> {
+    flag(rest, "--scale").map_or(Ok(SuiteScale::Small), |v| parse_scale(&v))
 }
 
 /// Positional (non-flag) arguments, in order: `--name value` pairs for
@@ -290,10 +314,7 @@ fn load(rest: &[&String]) -> Result<Csr, String> {
 }
 
 fn cmd_profile(rest: &[&String]) -> Result<(), String> {
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let a = load(rest)?;
     let p = SsfProfile::compute(&a, tile);
     println!("shape            : {}", a.shape());
@@ -325,10 +346,7 @@ fn cmd_profile(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_convert(rest: &[&String]) -> Result<(), String> {
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 64)?;
     let a = load(rest)?;
     let csc = a.to_csc();
     let farm = convert_matrix_farm(&csc, tile, tile, FarmConfig::paper_default())
@@ -362,23 +380,26 @@ fn cmd_convert(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
+/// What `spmm` and `audit` share: the worker pool, the paper planner at
+/// `--tile` with any `--fault-*` plan, A from the `.mtx` argument and a
+/// seeded B with `--k` columns.
+fn planner_inputs(rest: &[&String]) -> Result<(SpmmPlanner, Csr, DenseMatrix), String> {
     init_threads(rest)?;
     let k: usize = parse_flag(rest, "--k", 64)?;
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let mut config = PlannerConfig::paper_default();
+    config.tile_w = parse_tile(rest, 64)?;
+    config.tile_h = config.tile_w;
+    config.fault = parse_fault(rest)?;
+    let a = load(rest)?;
+    let b = random_dense(a.shape().ncols, k, 0xB);
+    Ok((SpmmPlanner::new(config), a, b))
+}
+
+fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
+    let (planner, a, b) = planner_inputs(rest)?;
     let trace_out = flag(rest, "--trace-out");
     let flame_out = flag(rest, "--flame-out");
     let metrics_json = flag(rest, "--metrics-json");
-    let fault = parse_fault(rest)?;
-    let a = load(rest)?;
-    let b = random_dense(a.shape().ncols, k, 0xB);
-    let mut config = PlannerConfig::paper_default();
-    config.tile_w = tile;
-    config.tile_h = tile;
-    config.fault = fault;
     // Observability is free when nobody asked for an artifact.
     let observing = trace_out.is_some() || flame_out.is_some() || metrics_json.is_some();
     let obs = if observing {
@@ -386,7 +407,7 @@ fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
     } else {
         ObsContext::disabled()
     };
-    let report = SpmmPlanner::new(config)
+    let report = planner
         .execute_with_obs(&a, &b, &obs)
         .map_err(|e| e.to_string())?;
     if let Some(path) = &trace_out {
@@ -447,23 +468,11 @@ fn cmd_spmm(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_audit(rest: &[&String]) -> Result<(), String> {
-    init_threads(rest)?;
-    let k: usize = parse_flag(rest, "--k", 64)?;
-    let tile: usize = parse_flag(rest, "--tile", 64)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let (planner, a, b) = planner_inputs(rest)?;
     let metrics_json = flag(rest, "--metrics-json");
-    let fault = parse_fault(rest)?;
-    let a = load(rest)?;
-    let b = random_dense(a.shape().ncols, k, 0xB);
-    let mut config = PlannerConfig::paper_default();
-    config.tile_w = tile;
-    config.tile_h = tile;
-    config.fault = fault;
     // The audit always observes: its whole point is the metrics.
     let obs = ObsContext::enabled();
-    let audit = SpmmPlanner::new(config)
+    let audit = planner
         .explain("cli", &a, &b, &obs)
         .map_err(|e| e.to_string())?;
     if let Some(path) = &metrics_json {
@@ -481,27 +490,14 @@ fn cmd_audit(rest: &[&String]) -> Result<(), String> {
 
 fn cmd_bench(rest: &[&String]) -> Result<(), String> {
     init_threads(rest)?;
-    let scale = match flag(rest, "--scale") {
-        None => SuiteScale::Small,
-        Some(v) => parse_scale(&v)?,
-    };
+    let scale = scale_flag(rest)?;
     let tol = GateTolerance {
-        speedup_frac: parse_flag(rest, "--tol-speedup", 0.05)?,
-        accuracy_abs: parse_flag(rest, "--tol-accuracy", 0.05)?,
+        margin_frac: parse_flag(rest, "--perf-margin", GateTolerance::default().margin_frac)?,
     };
     let baseline_path = flag(rest, "--baseline");
     let out = flag(rest, "--out");
     let fault = parse_fault(rest)?;
     let perf_requested = rest.iter().any(|x| x.as_str() == "--perf");
-    let perf_tol = PerfTolerance {
-        margin_frac: parse_flag(rest, "--perf-margin", PerfTolerance::default().margin_frac)?,
-        alloc_margin_frac: parse_flag(
-            rest,
-            "--alloc-margin",
-            PerfTolerance::default().alloc_margin_frac,
-        )?,
-        ..PerfTolerance::default()
-    };
     let perf_cfg = if perf_requested {
         let mut cfg = BenchConfig::default();
         cfg.iters = parse_flag(rest, "--perf-iters", cfg.iters)?;
@@ -518,19 +514,7 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         }
         None
     };
-    // Crash diagnostics: --diag-dir (or NMT_DIAG_DIR) arms the panic
-    // hook; a worker panic mid-sweep — or a gate failure below — leaves
-    // an nmt-diag-*.json bundle for `nmt-cli doctor`.
-    let diag_dir = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok());
-    if let Some(dir) = &diag_dir {
-        install_diagnostics(
-            dir.as_str(),
-            &ObsContext::disabled(),
-            fault.map(|p| p.seed),
-            fault.map(|p| p.rate_ppm),
-        );
-        eprintln!("crash diagnostics armed: bundles land in {dir}");
-    }
+    arm_diagnostics(rest, fault);
     let progress = ProgressReporter::new(
         SuiteSpec::new(scale, EXPERIMENT_SEED).descriptors().len(),
         rest.iter().any(|x| x.as_str() == "--progress"),
@@ -559,46 +543,40 @@ fn cmd_bench(rest: &[&String]) -> Result<(), String> {
         let json = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
         let baseline = Ledger::from_json(&json)?;
-        match ledger.gate(&baseline, tol) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("gate: {note}");
-                }
-                println!("gate: PASS vs {path}");
-            }
-            Err(regressions) => {
-                for r in &regressions {
-                    eprintln!("gate: REGRESSION: {r}");
-                }
-                write_failure_bundle(&format!("bench gate failure vs {path}"));
-                return Err(format!(
-                    "{} regression(s) vs baseline {path}",
-                    regressions.len()
-                ));
-            }
-        }
+        print_verdict("gate", path, ledger.gate(&baseline, tol))?;
         // The wall-time gate runs alongside the functional one; it
         // self-skips (with a note) when either side has no perf section.
-        match ledger.perf_gate(&baseline, perf_tol) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("perf gate: {note}");
-                }
-                println!("perf gate: PASS vs {path}");
-            }
-            Err(regressions) => {
-                for r in &regressions {
-                    eprintln!("perf gate: REGRESSION: {r}");
-                }
-                write_failure_bundle(&format!("bench perf gate failure vs {path}"));
-                return Err(format!(
-                    "{} perf regression(s) vs baseline {path}",
-                    regressions.len()
-                ));
-            }
-        }
+        print_verdict("perf gate", path, ledger.perf_gate(&baseline, tol))?;
     }
     Ok(())
+}
+
+/// Print a bench gate's verdict: its notes and PASS, or its regressions,
+/// a diagnostics bundle and an error.
+fn print_verdict(
+    gate: &str,
+    path: &str,
+    verdict: Result<Vec<String>, Vec<String>>,
+) -> Result<(), String> {
+    match verdict {
+        Ok(notes) => {
+            for note in notes {
+                println!("{gate}: {note}");
+            }
+            println!("{gate}: PASS vs {path}");
+            Ok(())
+        }
+        Err(regressions) => {
+            for r in &regressions {
+                eprintln!("{gate}: REGRESSION: {r}");
+            }
+            write_failure_bundle(&format!("bench {gate} failure vs {path}"));
+            Err(format!(
+                "{} {gate} regression(s) vs baseline {path}",
+                regressions.len()
+            ))
+        }
+    }
 }
 
 /// `nmt-cli serve`: replay an SpMM request trace through the service
@@ -615,12 +593,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         // Hit-vs-miss allocation medians need live thread-local counters.
         spmm_nmt::obs::alloc::enable_counting(true);
     }
-    // Same contract as `bench`: --diag-dir (or NMT_DIAG_DIR) arms the
-    // panic hook so a replay crash or gate failure leaves a bundle.
-    if let Some(dir) = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok()) {
-        install_diagnostics(dir.as_str(), &ObsContext::disabled(), None, None);
-        eprintln!("crash diagnostics armed: bundles land in {dir}");
-    }
+    arm_diagnostics(rest, None);
 
     let trace = match (flag(rest, "--requests"), flag(rest, "--synth")) {
         (Some(_), Some(_)) => {
@@ -654,10 +627,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         eprintln!("wrote {} requests to {path}", trace.len());
     }
 
-    let tile: usize = parse_flag(rest, "--tile", 16)?;
-    if tile == 0 || tile > 64 {
-        return Err("--tile must be in 1..=64 (the engine is 64 lanes wide)".into());
-    }
+    let tile = parse_tile(rest, 16)?;
     let mut config = BrokerConfig::test_small();
     config.planner.tile_w = tile;
     config.planner.tile_h = tile;
@@ -730,6 +700,17 @@ fn append_run_history<R: HistoryRow>(
     Ok(())
 }
 
+/// `--diag-dir` (or `NMT_DIAG_DIR`) arms the panic hook: a worker panic
+/// — or a gate failure, through [`write_failure_bundle`] — leaves an
+/// nmt-diag-*.json bundle there for `nmt-cli doctor`.
+fn arm_diagnostics(rest: &[&String], fault: Option<FaultPlan>) {
+    if let Some(dir) = flag(rest, "--diag-dir").or_else(|| std::env::var("NMT_DIAG_DIR").ok()) {
+        let (seed, rate_ppm) = (fault.map(|p| p.seed), fault.map(|p| p.rate_ppm));
+        install_diagnostics(dir.as_str(), &ObsContext::disabled(), seed, rate_ppm);
+        eprintln!("crash diagnostics armed: bundles land in {dir}");
+    }
+}
+
 /// When `--diag-dir` armed diagnostics, capture a bundle for a
 /// non-panic failure (gate regressions) so CI uploads the same artifact
 /// either way. A no-op when diagnostics are not installed.
@@ -755,7 +736,7 @@ fn cmd_doctor(rest: &[&String]) -> Result<(), String> {
 
 /// `nmt-cli diff <A> <B>`: forensic comparison of two run ledgers.
 fn cmd_diff(rest: &[&String]) -> Result<(), String> {
-    let args = positionals(rest, &["--diff-margin", "--diff-slack-ns"]);
+    let args = positionals(rest, &[]);
     let [a_path, b_path] = args.as_slice() else {
         return Err("diff needs exactly two ledger paths: <ledger-A> <ledger-B>".into());
     };
@@ -766,11 +747,7 @@ fn cmd_diff(rest: &[&String]) -> Result<(), String> {
     };
     let a = read(a_path)?;
     let b = read(b_path)?;
-    let opts = DiffOptions {
-        margin_frac: parse_flag(rest, "--diff-margin", 0.0)?,
-        abs_slack_ns: parse_flag(rest, "--diff-slack-ns", 0.0)?,
-    };
-    let report = diff_ledgers(&a, &b, opts);
+    let report = diff_ledgers(&a, &b);
     if rest.iter().any(|x| x.as_str() == "--json") {
         println!("{}", report.to_json());
     } else {
@@ -801,13 +778,8 @@ fn cmd_history(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_suite(rest: &[&String]) -> Result<(), String> {
-    let scale = match flag(rest, "--scale").as_deref() {
-        None | Some("small") => SuiteScale::Small,
-        Some("medium") => SuiteScale::Medium,
-        Some("paper") => SuiteScale::Paper,
-        Some(other) => return Err(format!("unknown scale {other:?}")),
-    };
-    let spec = SuiteSpec::new(scale, 0x5C19);
+    let scale = scale_flag(rest)?;
+    let spec = SuiteSpec::new(scale, EXPERIMENT_SEED);
     let descs = spec.descriptors();
     println!("{} matrices at {scale:?} scale:", descs.len());
     for d in descs {

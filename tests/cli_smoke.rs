@@ -210,6 +210,10 @@ fn suite_subcommand_and_errors() {
         .expect("spawn");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("matrices at Small scale"));
+    // `suite` parses its scale like `bench` does.
+    let out = cli().args(["suite", "--scale", "papr"]).output().expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognized scale"));
 
     // Unknown command and missing file fail politely.
     let out = cli().args(["frobnicate"]).output().expect("spawn");
